@@ -50,7 +50,7 @@ let ratio_tol = 1e-9
 let degenerate_streak_limit = 60
 
 (* ------------------------------------------------------------------ *)
-(* Standardization                                                     *)
+(* Standardization and the workspace                                   *)
 (* ------------------------------------------------------------------ *)
 
 (* Structural columns first, then one logical column per row with
@@ -67,38 +67,61 @@ type std = {
   b : float array;
 }
 
-let standardize prob =
-  let nstruct = Lp_problem.num_vars prob in
-  let rows = Lp_problem.constraints prob in
+(* What a solve needs besides the problem, kept from one solve to the
+   next: the standardized problem (re-built only when the problem's row
+   records are no longer the ones it was built from), the LU scratch,
+   and the vectors the simplex phases work in.  [gen] counts
+   re-standardizations, so a factor can tell which matrix it belongs
+   to. *)
+type workspace = {
+  sc : Basis.scratch;
+  mutable rows : Lp_problem.constr array;
+  mutable std : std;
+  mutable gen : int;
+  mutable stat : vstat array;  (* length n *)
+  mutable xb : float array;    (* length m, basic values by row position *)
+  mutable y : float array;     (* length m, duals *)
+  mutable rho : float array;   (* length m, dual simplex pivot row *)
+  mutable d : float array;     (* length m, entering column *)
+  mutable rhs : float array;   (* length m, compute_xb temporary *)
+}
+
+let standardize rows ~nstruct =
   let m = Array.length rows in
   let n = nstruct + m in
-  let acc = Array.make nstruct [] in
-  Array.iteri
-    (fun i row ->
+  let count = Array.make (n + 1) 0 in
+  Array.iter
+    (fun row ->
       List.iter
-        (fun (c, v) -> if c <> 0. then acc.(v) <- (i, c) :: acc.(v))
+        (fun (c, v) -> if c <> 0. then count.(v + 1) <- count.(v + 1) + 1)
         row.Lp_problem.terms)
     rows;
-  let cols = Array.make n [||] in
-  for v = 0 to nstruct - 1 do
-    cols.(v) <- Array.of_list (List.rev acc.(v))
+  for i = 0 to m - 1 do
+    count.(nstruct + i + 1) <- 1
   done;
+  for j = 0 to n - 1 do
+    count.(j + 1) <- count.(j + 1) + count.(j)
+  done;
+  let col_start = count in
+  let nnz = col_start.(n) in
+  let row_idx = Array.make nnz 0 and coef = Array.make nnz 0. in
+  let next = Array.sub col_start 0 n in
+  let put j i c =
+    let p = next.(j) in
+    row_idx.(p) <- i;
+    coef.(p) <- c;
+    next.(j) <- p + 1
+  in
+  Array.iteri
+    (fun i row ->
+      List.iter (fun (c, v) -> if c <> 0. then put v i c) row.Lp_problem.terms)
+    rows;
   let lo = Array.make n 0. and up = Array.make n 0. in
   let cost = Array.make n 0. and b = Array.make m 0. in
-  let sign =
-    match Lp_problem.sense prob with
-    | Lp_problem.Minimize -> 1.
-    | Lp_problem.Maximize -> -1.
-  in
-  for v = 0 to nstruct - 1 do
-    lo.(v) <- Lp_problem.var_lb prob v;
-    up.(v) <- Lp_problem.var_ub prob v;
-    cost.(v) <- sign *. Lp_problem.obj_coeff prob v
-  done;
   Array.iteri
     (fun i row ->
       let j = nstruct + i in
-      cols.(j) <- [| (i, 1.) |];
+      put j i 1.;
       b.(i) <- row.Lp_problem.rhs;
       match row.Lp_problem.cmp with
       | Lp_problem.Le ->
@@ -111,18 +134,81 @@ let standardize prob =
         lo.(j) <- 0.;
         up.(j) <- 0.)
     rows;
-  { m; n; nstruct; mat = { Basis.m; cols }; lo; up; cost; b }
+  { m; n; nstruct; mat = { Basis.m; col_start; row_idx; coef }; lo; up; cost;
+    b }
+
+let workspace () =
+  {
+    sc = Basis.scratch ();
+    rows = [||];
+    (* No problem has -1 variables: the first sync standardizes. *)
+    std =
+      { m = 0; n = 0; nstruct = -1;
+        mat = { Basis.m = 0; col_start = [| 0 |]; row_idx = [||]; coef = [||] };
+        lo = [||]; up = [||]; cost = [||]; b = [||] };
+    gen = 0;
+    stat = [||]; xb = [||]; y = [||]; rho = [||]; d = [||]; rhs = [||];
+  }
+
+let rows_unchanged (ws : workspace) prob =
+  let m = Array.length ws.rows in
+  Lp_problem.num_vars prob = ws.std.nstruct
+  && Lp_problem.num_constrs prob = m
+  &&
+  let same = ref true and i = ref 0 in
+  while !same && !i < m do
+    same := Lp_problem.constr_at prob !i == ws.rows.(!i);
+    incr i
+  done;
+  !same
+
+(* Bring the workspace to [prob]: re-standardize when the rows changed,
+   then copy the structural bounds and costs, which may differ from
+   solve to solve. *)
+let sync (ws : workspace) prob =
+  if not (rows_unchanged ws prob) then begin
+    let nstruct = Lp_problem.num_vars prob in
+    let rows =
+      Array.init (Lp_problem.num_constrs prob) (Lp_problem.constr_at prob)
+    in
+    let std = standardize rows ~nstruct in
+    ws.rows <- rows;
+    ws.std <- std;
+    ws.gen <- ws.gen + 1;
+    ws.stat <- Array.make std.n VLower;
+    ws.xb <- Array.make std.m 0.;
+    ws.y <- Array.make std.m 0.;
+    ws.rho <- Array.make std.m 0.;
+    ws.d <- Array.make std.m 0.;
+    ws.rhs <- Array.make std.m 0.
+  end;
+  let std = ws.std in
+  let sign =
+    match Lp_problem.sense prob with
+    | Lp_problem.Minimize -> 1.
+    | Lp_problem.Maximize -> -1.
+  in
+  for v = 0 to std.nstruct - 1 do
+    std.lo.(v) <- Lp_problem.var_lb prob v;
+    std.up.(v) <- Lp_problem.var_ub prob v;
+    std.cost.(v) <- sign *. Lp_problem.obj_coeff prob v
+  done;
+  std
 
 (* ------------------------------------------------------------------ *)
 (* Solver state                                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* One solve: the basis being pivoted plus the workspace's vectors. *)
 type state = {
   std : std;
   bas : Basis.t;
-  stat : vstat array;  (* length n *)
-  xb : float array;    (* length m, basic values by row position *)
-  y : float array;     (* length m, scratch for duals *)
+  stat : vstat array;
+  xb : float array;
+  y : float array;
+  rho : float array;
+  d : float array;
+  rhs : float array;
 }
 
 let nb_value st ~lo ~up j =
@@ -135,13 +221,17 @@ let nb_value st ~lo ~up j =
 (* Basic values from scratch: x_B = B^-1 (b - N x_N). *)
 let compute_xb st ~lo ~up =
   let std = st.std in
-  let cols = std.mat.Basis.cols in
-  let rhs = Array.copy std.b in
+  let { Basis.col_start; row_idx; coef; _ } = std.mat in
+  let rhs = st.rhs in
+  Array.blit std.b 0 rhs 0 std.m;
   for j = 0 to std.n - 1 do
     if st.stat.(j) <> VBasic then begin
       let v = nb_value st ~lo ~up j in
       if v <> 0. then
-        Array.iter (fun (i, c) -> rhs.(i) <- rhs.(i) -. (c *. v)) cols.(j)
+        for p = col_start.(j) to col_start.(j + 1) - 1 do
+          let i = row_idx.(p) in
+          rhs.(i) <- rhs.(i) -. (coef.(p) *. v)
+        done
     end
   done;
   Basis.ftran st.bas rhs;
@@ -154,8 +244,21 @@ let compute_duals st ~cost =
   done;
   Basis.btran st.bas st.y
 
-let col_dot cols y j =
-  Array.fold_left (fun a (i, c) -> a +. (c *. y.(i))) 0. cols.(j)
+(* Column [j] of the standardized matrix dotted with [y], summed in the
+   column's entry order. *)
+let col_dot (mat : Basis.mat) y j =
+  let acc = ref 0. in
+  for p = mat.Basis.col_start.(j) to mat.Basis.col_start.(j + 1) - 1 do
+    acc := !acc +. (mat.Basis.coef.(p) *. y.(mat.Basis.row_idx.(p)))
+  done;
+  !acc
+
+(* d <- column [j] of the standardized matrix, dense. *)
+let load_col (mat : Basis.mat) d j =
+  Array.fill d 0 mat.Basis.m 0.;
+  for p = mat.Basis.col_start.(j) to mat.Basis.col_start.(j + 1) - 1 do
+    d.(mat.Basis.row_idx.(p)) <- mat.Basis.coef.(p)
+  done
 
 let primal_infeasibility st ~lo ~up =
   let basis = Basis.basis st.bas in
@@ -180,8 +283,8 @@ type phase = P_optimal | P_unbounded | P_iters | P_singular
    degenerate streak. *)
 let primal st ~cost ~lo ~up ~budget =
   let std = st.std in
-  let cols = std.mat.Basis.cols in
-  let d = Array.make std.m 0. in
+  let mat = std.mat in
+  let d = st.d in
   let iters = ref 0 and streak = ref 0 and bland = ref false in
   let outcome = ref P_optimal in
   let running = ref true in
@@ -197,7 +300,7 @@ let primal st ~cost ~lo ~up ~budget =
       (try
          for j = 0 to std.n - 1 do
            if st.stat.(j) <> VBasic && up.(j) -. lo.(j) > ratio_tol then begin
-             let z = cost.(j) -. col_dot cols st.y j in
+             let z = cost.(j) -. col_dot mat st.y j in
              let a =
                match st.stat.(j) with
                | VLower -> -.z
@@ -227,8 +330,7 @@ let primal st ~cost ~lo ~up ~budget =
           | VFree -> if !best_z <= 0. then 1. else -1.
           | VBasic -> assert false
         in
-        Array.fill d 0 std.m 0.;
-        Array.iter (fun (i, c) -> d.(i) <- c) cols.(j);
+        load_col mat d j;
         Basis.ftran st.bas d;
         let basis = Basis.basis st.bas in
         let t_best = ref (up.(j) -. lo.(j)) in
@@ -321,9 +423,9 @@ let primal st ~cost ~lo ~up ~budget =
    bounds throughout, so feasibility, once reached, is genuine. *)
 let phase1 st ~budget =
   let std = st.std in
-  let cols = std.mat.Basis.cols in
+  let mat = std.mat in
   let lo = std.lo and up = std.up in
-  let d = Array.make std.m 0. in
+  let d = st.d in
   let iters = ref 0 and streak = ref 0 and bland = ref false in
   let outcome = ref `Feasible in
   let running = ref true in
@@ -361,7 +463,7 @@ let phase1 st ~budget =
         (try
            for j = 0 to std.n - 1 do
              if st.stat.(j) <> VBasic && up.(j) -. lo.(j) > ratio_tol then begin
-               let z = -.col_dot cols st.y j in
+               let z = -.col_dot mat st.y j in
                let a =
                  match st.stat.(j) with
                  | VLower -> -.z
@@ -391,8 +493,7 @@ let phase1 st ~budget =
             | VFree -> if !best_z <= 0. then 1. else -1.
             | VBasic -> assert false
           in
-          Array.fill d 0 std.m 0.;
-          Array.iter (fun (i, c) -> d.(i) <- c) cols.(j);
+          load_col mat d j;
           Basis.ftran st.bas d;
           let t_best = ref (up.(j) -. lo.(j)) in
           let leave = ref (-1) and leave_up = ref false in
@@ -496,10 +597,10 @@ type dual_outcome = D_feasible | D_infeasible | D_iters | D_singular
    opposite bound and become the next leaving candidate. *)
 let dual st ~budget =
   let std = st.std in
-  let cols = std.mat.Basis.cols in
+  let mat = std.mat in
   let lo = std.lo and up = std.up in
-  let rho = Array.make std.m 0. in
-  let d = Array.make std.m 0. in
+  let rho = st.rho in
+  let d = st.d in
   let iters = ref 0 and streak = ref 0 and bland = ref false in
   let retries = ref 0 in
   let outcome = ref D_feasible in
@@ -539,7 +640,7 @@ let dual st ~budget =
         (try
            for j = 0 to std.n - 1 do
              if st.stat.(j) <> VBasic && up.(j) -. lo.(j) > ratio_tol then begin
-               let alpha = col_dot cols rho j in
+               let alpha = col_dot mat rho j in
                let ok =
                  match (st.stat.(j), to_upper) with
                  | VLower, true | VUpper, false -> alpha > ratio_tol
@@ -548,7 +649,7 @@ let dual st ~budget =
                  | VBasic, _ -> false
                in
                if ok then begin
-                 let z = std.cost.(j) -. col_dot cols st.y j in
+                 let z = std.cost.(j) -. col_dot mat st.y j in
                  let ratio = Float.abs z /. Float.abs alpha in
                  let better =
                    if !bland then !best < 0
@@ -573,8 +674,7 @@ let dual st ~budget =
         end
         else begin
           let j = !best in
-          Array.fill d 0 std.m 0.;
-          Array.iter (fun (i, c) -> d.(i) <- c) cols.(j);
+          load_col mat d j;
           Basis.ftran st.bas d;
           if Float.abs d.(r) <= ratio_tol then begin
             (* btran row and ftran column disagree: stale factors. *)
@@ -731,13 +831,13 @@ let shrink_snapshot snap ~removed_rows =
 
 let dual_feasible st =
   let std = st.std in
-  let cols = std.mat.Basis.cols in
+  let mat = std.mat in
   compute_duals st ~cost:std.cost;
   let ok = ref true in
   for j = 0 to std.n - 1 do
     if !ok && st.stat.(j) <> VBasic && std.up.(j) -. std.lo.(j) > ratio_tol
     then begin
-      let z = std.cost.(j) -. col_dot cols st.y j in
+      let z = std.cost.(j) -. col_dot mat st.y j in
       match st.stat.(j) with
       | VLower -> if z < -.warm_dual_tol then ok := false
       | VUpper -> if z > warm_dual_tol then ok := false
@@ -753,13 +853,15 @@ let dual_feasible st =
 
 let default_budget std = (50 * (std.m + std.n)) + 2000
 
-let fresh_state std bas stat =
-  { std; bas; stat; xb = Array.make std.m 0.; y = Array.make std.m 0. }
+let fresh_state (ws : workspace) bas =
+  { std = ws.std; bas; stat = ws.stat; xb = ws.xb; y = ws.y; rho = ws.rho;
+    d = ws.d; rhs = ws.rhs }
 
 (* Cold solve: logical basis, composite phase 1 when the starting point
    violates bounds, then phase 2 on the true costs. *)
-let run_cold std ~budget =
-  let stat = Array.make std.n VLower in
+let run_cold (ws : workspace) ~budget =
+  let std = ws.std in
+  let stat = ws.stat in
   for j = 0 to std.nstruct - 1 do
     stat.(j) <-
       (if std.lo.(j) > neg_infinity then VLower
@@ -768,31 +870,34 @@ let run_cold std ~budget =
   done;
   let basis = Array.init std.m (fun i -> std.nstruct + i) in
   Array.iter (fun k -> stat.(k) <- VBasic) basis;
-  match Basis.create std.mat basis with
+  match Basis.create ws.sc std.mat basis with
   | Error `Singular ->
     (* The logical basis is an identity matrix; unreachable. *)
     (Infeasible, None, 0, 0)
   | Ok bas ->
-    let st = fresh_state std bas stat in
+    let st = fresh_state ws bas in
     let p1_outcome, p1_iters = phase1 st ~budget in
     let refac () = Basis.refactorizations bas in
-    (match p1_outcome with
-    | `Infeasible -> (Infeasible, None, p1_iters, refac ())
-    | `Iters | `Singular -> (Iteration_limit, None, p1_iters, refac ())
-    | `Feasible ->
-      let outcome, p2_iters =
-        primal st ~cost:std.cost ~lo:std.lo ~up:std.up
-          ~budget:(Int.max 0 (budget - p1_iters))
-      in
-      let total = p1_iters + p2_iters in
-      (match outcome with
-      | P_optimal ->
-        ( Optimal { x = [||]; obj = 0.; basis = snapshot_of st },
-          Some st,
-          total,
-          refac () )
-      | P_unbounded -> (Unbounded, None, total, refac ())
-      | P_iters | P_singular -> (Iteration_limit, None, total, refac ())))
+    let outcome =
+      match p1_outcome with
+      | `Infeasible -> (Infeasible, None, p1_iters, refac ())
+      | `Iters | `Singular -> (Iteration_limit, None, p1_iters, refac ())
+      | `Feasible -> (
+        let outcome, p2_iters =
+          primal st ~cost:std.cost ~lo:std.lo ~up:std.up
+            ~budget:(Int.max 0 (budget - p1_iters))
+        in
+        let total = p1_iters + p2_iters in
+        match outcome with
+        | P_optimal ->
+          ( Optimal { x = [||]; obj = 0.; basis = snapshot_of st },
+            Some st,
+            total,
+            refac () )
+        | P_unbounded -> (Unbounded, None, total, refac ())
+        | P_iters | P_singular -> (Iteration_limit, None, total, refac ()))
+    in
+    outcome
 
 let finish prob st result =
   match result with
@@ -802,15 +907,15 @@ let finish prob st result =
               basis = snapshot_of st }
   | r -> r
 
-let solve ?max_iters prob =
+let solve_ws (ws : workspace) ?max_iters prob =
   if Fault.fire site_iteration_limit then
     ( Iteration_limit,
       { primal_pivots = 0; dual_pivots = 0; refactorizations = 0;
         warm = false } )
   else begin
-  let std = standardize prob in
+  let std = sync ws prob in
   let budget = match max_iters with Some b -> b | None -> default_budget std in
-  let result, st, pivots, refac = run_cold std ~budget in
+  let result, st, pivots, refac = run_cold ws ~budget in
   let result =
     match st with Some st -> finish prob st result | None -> result
   in
@@ -819,20 +924,128 @@ let solve ?max_iters prob =
       warm = false } )
   end
 
+let solve ?max_iters prob = solve_ws (workspace ()) ?max_iters prob
+
 let valid_snapshot snap std =
   snap.sm = std.m && snap.sn = std.n
   && Array.for_all (fun e -> e >= 0 && e < std.n) snap.sbasis
 
-let solve_from ?max_iters snap prob =
+(* The factor of one snapshot's basis, made by the first solve that
+   needs it and reused by the next ones from the same snapshot on the
+   same workspace matrix.  Only the domain that made it reads it. *)
+type slot_entry = {
+  e_ws : workspace;
+  e_gen : int;
+  e_snap : snapshot;
+  e_factor : Basis.factor;
+}
+
+type factor_slot = {
+  mutable entry : slot_entry option;
+  mutable uses : int;  (* warm starts still to come *)
+}
+
+let factor_slot ?(uses = max_int) () = { entry = None; uses }
+
+(* A solve state on the snapshot's basis: on the slot's factor when it
+   holds this snapshot's, otherwise factorized (and kept in the slot,
+   if there is one). *)
+let start_warm (ws : workspace) slot snap std =
+  match slot with
+  | None -> Basis.create ws.sc std.mat snap.sbasis
+  | Some sl ->
+    let f =
+      match sl.entry with
+      | Some e when e.e_ws == ws && e.e_gen = ws.gen && e.e_snap == snap ->
+        Ok e.e_factor
+      | _ ->
+        let made = Basis.factorize ws.sc std.mat snap.sbasis in
+        Result.iter
+          (fun f ->
+            sl.entry <-
+              Some { e_ws = ws; e_gen = ws.gen; e_snap = snap; e_factor = f })
+          made;
+        made
+    in
+    (* The last expected user lets the factor go before its own subtree
+       runs, so a deep dive does not keep one factor per level. *)
+    sl.uses <- sl.uses - 1;
+    if sl.uses <= 0 then sl.entry <- None;
+    Result.map (Basis.of_factor ws.sc std.mat) f
+
+(* Dual simplex from a started warm basis, then the closing primal
+   pass; [`Cold] hands back the pivots and refactorizations spent when
+   only a cold solve can finish the job. *)
+let run_warm st ~budget prob snap =
+  let std = st.std and bas = st.bas in
+  if dual_feasible st then begin
+    let douts, diters = dual st ~budget in
+    match douts with
+    | D_feasible ->
+      (* Dual feasible + primal feasible; the closing primal pass
+         normally certifies optimality in zero pivots. *)
+      let pouts, piters =
+        primal st ~cost:std.cost ~lo:std.lo ~up:std.up
+          ~budget:(Int.max 0 (budget - diters))
+      in
+      let refac = Basis.refactorizations bas in
+      let mk r =
+        `Done
+          ( finish prob st r,
+            { primal_pivots = piters; dual_pivots = diters;
+              refactorizations = refac; warm = true } )
+      in
+      (match pouts with
+      | P_optimal -> mk (Optimal { x = [||]; obj = 0.; basis = snap })
+      | P_unbounded -> mk Unbounded
+      | P_iters -> mk Iteration_limit
+      | P_singular -> `Cold (diters, refac))
+    | D_infeasible ->
+      `Done
+        ( Infeasible,
+          { primal_pivots = 0; dual_pivots = diters;
+            refactorizations = Basis.refactorizations bas; warm = true } )
+    | D_iters ->
+      `Done
+        ( Iteration_limit,
+          { primal_pivots = 0; dual_pivots = diters;
+            refactorizations = Basis.refactorizations bas; warm = true } )
+    | D_singular -> `Cold (diters, Basis.refactorizations bas)
+  end
+  else begin
+    (* Costs changed or tolerance drift: if the snapshot is at least
+       primal feasible, restart primal phase 2 from it. *)
+    compute_xb st ~lo:std.lo ~up:std.up;
+    if primal_infeasibility st ~lo:std.lo ~up:std.up <= feas_tol then begin
+      let pouts, piters =
+        primal st ~cost:std.cost ~lo:std.lo ~up:std.up ~budget
+      in
+      let refac = Basis.refactorizations bas in
+      let mk r =
+        `Done
+          ( finish prob st r,
+            { primal_pivots = piters; dual_pivots = 0;
+              refactorizations = refac; warm = true } )
+      in
+      match pouts with
+      | P_optimal -> mk (Optimal { x = [||]; obj = 0.; basis = snap })
+      | P_unbounded -> mk Unbounded
+      | P_iters -> mk Iteration_limit
+      | P_singular -> `Cold (0, refac)
+    end
+    else `Cold (0, Basis.refactorizations bas)
+  end
+
+let solve_from_ws (ws : workspace) ?max_iters ?slot snap prob =
   if Fault.fire site_iteration_limit then
     ( Iteration_limit,
       { primal_pivots = 0; dual_pivots = 0; refactorizations = 0;
         warm = true } )
   else begin
-  let std = standardize prob in
+  let std = sync ws prob in
   let budget = match max_iters with Some b -> b | None -> default_budget std in
   let cold ~dual_pivots ~refac0 =
-    let result, st, pivots, refac = run_cold std ~budget in
+    let result, st, pivots, refac = run_cold ws ~budget in
     let result =
       match st with Some st -> finish prob st result | None -> result
     in
@@ -842,7 +1055,8 @@ let solve_from ?max_iters snap prob =
   in
   if not (valid_snapshot snap std) then cold ~dual_pivots:0 ~refac0:0
   else begin
-    let stat = Array.copy snap.sstat in
+    let stat = ws.stat in
+    Array.blit snap.sstat 0 stat 0 std.n;
     (* Legalize rest statuses against the current bounds (a branch may
        have removed the bound a variable was parked at). *)
     for j = 0 to std.n - 1 do
@@ -858,68 +1072,21 @@ let solve_from ?max_iters snap prob =
         if std.lo.(j) > neg_infinity then stat.(j) <- VLower
         else if std.up.(j) < infinity then stat.(j) <- VUpper
     done;
-    let created =
+    (* The fault fires once per warm solve, whether or not the factor
+       would have been reused, and a fired fault leaves the slot as it
+       was. *)
+    let started =
       if Fault.fire site_singular_lu then Error `Singular
-      else Basis.create std.mat snap.sbasis
+      else start_warm ws slot snap std
     in
-    match created with
+    match started with
     | Error `Singular -> cold ~dual_pivots:0 ~refac0:0
-    | Ok bas ->
-      let st = fresh_state std bas stat in
-      if dual_feasible st then begin
-        let douts, diters = dual st ~budget in
-        match douts with
-        | D_feasible ->
-          (* Dual feasible + primal feasible; the closing primal pass
-             normally certifies optimality in zero pivots. *)
-          let pouts, piters =
-            primal st ~cost:std.cost ~lo:std.lo ~up:std.up
-              ~budget:(Int.max 0 (budget - diters))
-          in
-          let refac = Basis.refactorizations bas in
-          let mk r =
-            ( finish prob st r,
-              { primal_pivots = piters; dual_pivots = diters;
-                refactorizations = refac; warm = true } )
-          in
-          (match pouts with
-          | P_optimal -> mk (Optimal { x = [||]; obj = 0.; basis = snap })
-          | P_unbounded -> mk Unbounded
-          | P_iters -> mk Iteration_limit
-          | P_singular ->
-            cold ~dual_pivots:diters ~refac0:refac)
-        | D_infeasible ->
-          ( Infeasible,
-            { primal_pivots = 0; dual_pivots = diters;
-              refactorizations = Basis.refactorizations bas; warm = true } )
-        | D_iters ->
-          ( Iteration_limit,
-            { primal_pivots = 0; dual_pivots = diters;
-              refactorizations = Basis.refactorizations bas; warm = true } )
-        | D_singular ->
-          cold ~dual_pivots:diters ~refac0:(Basis.refactorizations bas)
-      end
-      else begin
-        (* Costs changed or tolerance drift: if the snapshot is at least
-           primal feasible, restart primal phase 2 from it. *)
-        compute_xb st ~lo:std.lo ~up:std.up;
-        if primal_infeasibility st ~lo:std.lo ~up:std.up <= feas_tol then begin
-          let pouts, piters =
-            primal st ~cost:std.cost ~lo:std.lo ~up:std.up ~budget
-          in
-          let refac = Basis.refactorizations bas in
-          let mk r =
-            ( finish prob st r,
-              { primal_pivots = piters; dual_pivots = 0;
-                refactorizations = refac; warm = true } )
-          in
-          match pouts with
-          | P_optimal -> mk (Optimal { x = [||]; obj = 0.; basis = snap })
-          | P_unbounded -> mk Unbounded
-          | P_iters -> mk Iteration_limit
-          | P_singular -> cold ~dual_pivots:0 ~refac0:refac
-        end
-        else cold ~dual_pivots:0 ~refac0:(Basis.refactorizations bas)
-      end
+    | Ok bas -> (
+      match run_warm (fresh_state ws bas) ~budget prob snap with
+      | `Done r -> r
+      | `Cold (dual_pivots, refac0) -> cold ~dual_pivots ~refac0)
   end
   end
+
+let solve_from ?max_iters snap prob =
+  solve_from_ws (workspace ()) ?max_iters snap prob

@@ -68,3 +68,51 @@ val solve_from : ?max_iters:int -> snapshot -> Lp_problem.t -> result * stats
     primal phase 2 from the snapshot if it is primal feasible.  Falls
     back to a cold {!solve} on dimension mismatch, singular basis, or
     numerical failure. *)
+
+(** {2 Reusing work across solves}
+
+    The branch-and-bound solves thousands of LPs that differ only in
+    variable bounds.  A {!workspace} keeps what those solves share; a
+    {!factor_slot} lets sibling nodes share their parent basis's
+    factorization.  Neither changes any pivot: results and stats are
+    those of {!solve} / {!solve_from}. *)
+
+type workspace
+(** The standardized columns (compressed-column arrays) with costs and
+    right-hand sides, the LU scratch, and the simplex vectors.  Each
+    solve copies only the variable bounds and costs from the problem;
+    the columns are rebuilt only when the problem's row records are not
+    (physically) the ones they were built from — after appending,
+    removing or rewriting rows.  One workspace serves one solve at a
+    time, on one domain. *)
+
+val workspace : unit -> workspace
+
+type factor_slot
+(** Holds the factorization of one snapshot's basis, made by the first
+    {!solve_from_ws} that warm-starts from that snapshot and reused by
+    the following ones (on the same workspace, while its columns are
+    unchanged).  A factorization depends only on the matrix and the
+    basis, so reuse is exact.  Mutable and unsynchronized: keep a slot
+    on the domain that made it. *)
+
+val factor_slot : ?uses:int -> unit -> factor_slot
+(** [uses] (default: unlimited) is the number of warm solves expected to
+    start from the slot; the one that starts last lets go of the
+    factorization, so it need not stay alive while that solve's own
+    subtree is explored. *)
+
+val solve_ws : workspace -> ?max_iters:int -> Lp_problem.t -> result * stats
+(** {!solve} in [workspace]. *)
+
+val solve_from_ws :
+  workspace ->
+  ?max_iters:int ->
+  ?slot:factor_slot ->
+  snapshot ->
+  Lp_problem.t ->
+  result * stats
+(** {!solve_from} in [workspace], taking the snapshot's factorization
+    from [slot] when it holds it and storing it there otherwise.  The
+    ["basis.singular_lu"] fault fires once per call either way; a fired
+    fault takes the cold fallback and leaves [slot] untouched. *)

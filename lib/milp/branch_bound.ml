@@ -128,7 +128,7 @@ let rec publish_shared sh x m =
    from the root (absolute values, root-first, later entries override
    earlier ones for the same variable), plus the parent's LP bound and
    basis snapshot ({!Revised.snapshot} is immutable, so sharing it across
-   domains is safe — each domain refactorizes it into its own {!Basis}). *)
+   domains is safe — each domain factorizes it in its own workspace). *)
 type task = {
   t_trail : (int * float * float) list;
   t_depth : int;
@@ -144,6 +144,7 @@ type task = {
 type search = {
   model : Model.t;
   prob : Lp_problem.t;
+  ws : Revised.workspace;       (* this domain's LP workspace for [prob] *)
   prm : params;
   sense_mult : float;           (* +1 minimize, -1 maximize *)
   partner : (int, int) Hashtbl.t; (* pair membership, symmetric *)
@@ -250,17 +251,18 @@ let budget_exhausted s =
 
 (* One LP relaxation: warm-start from the parent's optimal basis via the
    dual simplex when available (bound-only changes keep it dual
-   feasible), cold otherwise.  [Revised.solve_from] falls back to a cold
+   feasible), cold otherwise.  [Revised.solve_from_ws] falls back to a cold
    solve internally on singular or stale bases; stats.warm records which
-   path actually produced the answer. *)
-let solve_node_lp s parent_basis =
+   path actually produced the answer.  Siblings share the parent's
+   [slot], so the parent basis is factorized once per branching. *)
+let solve_node_lp s parent_basis ~slot =
   s.lp_solves <- s.lp_solves + 1;
-  let warm_requested =
-    match parent_basis with Some _ -> s.prm.warm_lp | None -> false
-  in
+  let warm_requested = s.prm.warm_lp && Option.is_some parent_basis in
   let result, (st : Revised.stats) =
-    if warm_requested then Revised.solve_from (Option.get parent_basis) s.prob
-    else Revised.solve s.prob
+    match parent_basis with
+    | Some snap when warm_requested ->
+      Revised.solve_from_ws s.ws ~slot snap s.prob
+    | _ -> Revised.solve_ws s.ws s.prob
   in
   s.pivots <- s.pivots + st.primal_pivots + st.dual_pivots;
   s.refactorizations <- s.refactorizations + st.refactorizations;
@@ -276,7 +278,7 @@ let solve_node_lp s parent_basis =
      search itself is unaffected. *)
   if s.prm.shadow_cold then begin
     if st.warm then begin
-      let _, (cst : Revised.stats) = Revised.solve s.prob in
+      let _, (cst : Revised.stats) = Revised.solve_ws s.ws s.prob in
       s.shadow_pivots <- s.shadow_pivots + cst.primal_pivots + cst.dual_pivots
     end
     else s.shadow_pivots <- s.shadow_pivots + st.primal_pivots + st.dual_pivots
@@ -344,7 +346,9 @@ let cut_rounds s x m basis =
           let added = Lp_problem.num_constrs s.prob - before in
           s.cuts_added <- s.cuts_added + added;
           let snap = Revised.extend_snapshot basis ~added in
-          let result, (st : Revised.stats) = Revised.solve_from snap s.prob in
+          let result, (st : Revised.stats) =
+            Revised.solve_from_ws s.ws snap s.prob
+          in
           s.pivots <- s.pivots + st.primal_pivots + st.dual_pivots;
           s.refactorizations <- s.refactorizations + st.refactorizations;
           if not st.warm then
@@ -444,7 +448,7 @@ let propagate_node s =
               undo )
   end
 
-let rec explore s ~depth ~trail ~parent_basis ~parent_bound =
+let rec explore s ~depth ~trail ~parent_basis ~slot ~parent_bound =
   match s.capture with
   | Some push when s.nodes >= s.ramp_limit ->
     (* Ramp-up budget spent: hand the whole pending subtree to the pool
@@ -472,7 +476,7 @@ let rec explore s ~depth ~trail ~parent_basis ~parent_bound =
             | Some sh -> Atomic.incr sh.sh_nodes
             | None -> ());
             expand s ~depth ~trail ~parent_basis ~parent_bound
-              (solve_node_lp s parent_basis))
+              (solve_node_lp s parent_basis ~slot))
     end
 
 (* Node expansion.  Cut rows appended here stay while the children run
@@ -545,11 +549,11 @@ and expand_node s ~depth ~trail ~parent_basis ~parent_bound ~entry_nrows
     end
 
 and branch s ~depth ~trail x v ~basis ~bound =
-  let child settings =
+  let child slot settings =
     with_bounds s settings (fun () ->
         explore s ~depth:(depth + 1)
           ~trail:(List.rev_append settings trail)
-          ~parent_basis:basis ~parent_bound:bound)
+          ~parent_basis:basis ~slot ~parent_bound:bound)
   in
   match Hashtbl.find_opt s.partner v with
   | Some w when fractionality x v > s.prm.int_tol
@@ -557,6 +561,7 @@ and branch s ~depth ~trail x v ~basis ~bound =
     (* 4-way branching on the disjunction pair (v, w): each child fixes a
        combination, visiting the combination closest to the LP point
        first. *)
+    let child = child (Revised.factor_slot ~uses:4 ()) in
     let combos = [ (0., 0.); (0., 1.); (1., 0.); (1., 1.) ] in
     let dist (a, b) = Float.abs (x.(v) -. a) +. Float.abs (x.(w) -. b) in
     let ordered =
@@ -570,11 +575,12 @@ and branch s ~depth ~trail x v ~basis ~bound =
     (* Plain floor/ceil split, nearest side first. *)
     let lo = Float.floor x.(v) and hi = Float.ceil x.(v) in
     let lb = Lp_problem.var_lb s.prob v and ub = Lp_problem.var_ub s.prob v in
+    let down_ok = lo >= lb -. 1e-9 and up_ok = hi <= ub +. 1e-9 in
+    let uses = Bool.to_int down_ok + Bool.to_int up_ok in
+    let child = child (Revised.factor_slot ~uses ()) in
     let down () =
-      if lo >= lb -. 1e-9 && not s.out_of_budget then child [ (v, lb, lo) ]
-    and up () =
-      if hi <= ub +. 1e-9 && not s.out_of_budget then child [ (v, hi, ub) ]
-    in
+      if down_ok && not s.out_of_budget then child [ (v, lb, lo) ]
+    and up () = if up_ok && not s.out_of_budget then child [ (v, hi, ub) ] in
     if x.(v) -. lo <= hi -. x.(v) then begin
       down ();
       up ()
@@ -666,7 +672,7 @@ let run_task s ~base_lb ~base_ub task ~entry ~budget =
         task.t_trail)
     (fun () ->
       explore s ~depth:task.t_depth ~trail:[] ~parent_basis:task.t_basis
-        ~parent_bound:task.t_bound);
+        ~slot:(Revised.factor_slot ()) ~parent_bound:task.t_bound);
   let nodes_used = s.nodes - nodes_before in
   {
     r_entry = entry;
@@ -810,6 +816,10 @@ let solve_frontier s ~pool ~jobs ~shared ~mk_search ~tasks ~finish =
       else begin
         (match results.(!i) with
         | Some r when r.r_entry = !chain_m -> ()
+        | None when !waves > 0 ->
+          (* Launched (the first wave starts at task 0 and every wave
+             runs to the last task) but lost: recovered below. *)
+          ()
         | _ ->
           (* Incumbent is stale (or first visit): every remaining task
              speculated on the wrong entry bound, so relaunch them all
@@ -819,9 +829,10 @@ let solve_frontier s ~pool ~jobs ~shared ~mk_search ~tasks ~finish =
           match results.(!i) with
           | Some r -> r
           | None ->
-            (* Lost even after the relaunch: recover inline with the
-               exact sequential contract, which also makes the result
-               admissible by construction. *)
+            (* Lost: recover inline with the exact sequential contract,
+               which also makes the result admissible by construction.
+               Every lost task the consumer reaches is counted, whichever
+               domain happened to lose it. *)
             recover !i ~entry:!chain_m ~budget:remaining
         in
         if r.r_hit_time then begin
@@ -912,7 +923,8 @@ let solve ?(params = default_params) ?warm ?pool ?cutter ?(cut_pool = [])
   in
   let mk_search prob =
     {
-      model; prob; prm = params; sense_mult; partner; is_integer; prop_rows;
+      model; prob; ws = Revised.workspace (); prm = params; sense_mult;
+      partner; is_integer; prop_rows;
       cutter; base_nrows;
       deadline = start +. params.time_limit;
       shared; node_budget = params.node_limit; capture = None;
@@ -988,7 +1000,7 @@ let solve ?(params = default_params) ?warm ?pool ?cutter ?(cut_pool = [])
   else begin
     (* Root LP: solved exactly once, reused both for the reported root
        bound and as the root node of the search. *)
-    let root_result = solve_node_lp s None in
+    let root_result = solve_node_lp s None ~slot:(Revised.factor_slot ()) in
     let root_bound =
       match root_result with
       | Revised.Optimal { obj; _ } ->

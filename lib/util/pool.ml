@@ -88,8 +88,9 @@ let jobs t = t.n_jobs
    flag, tasks that have not started by the time it is signalled are
    popped and dropped unexecuted (the deques still must empty so the
    batch terminates); tasks already running observe the flag
-   themselves. *)
-let drain t b w =
+   themselves.  [first], when given, is a task already taken off the
+   deques, run before the others. *)
+let drain ?first t b w =
   let j = Array.length b.deques in
   let rec next_task scanned i =
     if scanned >= j then None
@@ -98,12 +99,12 @@ let drain t b w =
       | Some _ as task -> task
       | None -> next_task (scanned + 1) (i + 1)
   in
-  let rec go () =
-    let task =
-      match Deque.pop b.deques.(w) with
-      | Some _ as task -> task
-      | None -> next_task 1 1
-    in
+  let take () =
+    match Deque.pop b.deques.(w) with
+    | Some _ as task -> task
+    | None -> next_task 1 1
+  in
+  let rec go task =
     match task with
     | None -> ()
     | Some f ->
@@ -116,9 +117,9 @@ let drain t b w =
           Mutex.lock t.mutex;
           if t.pending_exn = None then t.pending_exn <- Some exn;
           Mutex.unlock t.mutex);
-      go ()
+      go (take ())
   in
-  go ()
+  go (match first with Some _ -> first | None -> take ())
 
 let worker_loop t w () =
   let my_epoch = ref 0 in
@@ -180,6 +181,9 @@ let run ?abort t ~n f =
             f ~worker i)
       done;
       let b = { deques; abort } in
+      (* The caller takes its first task before the workers are woken,
+         so it always executes at least one task of the batch. *)
+      let first = Deque.pop deques.(0) in
       Mutex.lock t.mutex;
       t.batch <- Some b;
       t.pending_exn <- None;
@@ -187,7 +191,7 @@ let run ?abort t ~n f =
       t.active <- t.n_jobs - 1;
       Condition.broadcast t.work_cv;
       Mutex.unlock t.mutex;
-      drain t b 0;
+      drain ?first t b 0;
       Mutex.lock t.mutex;
       while t.active > 0 do
         Condition.wait t.done_cv t.mutex

@@ -16,7 +16,10 @@
 
     The calling domain participates as worker [0], so [create ~jobs]
     spawns only [jobs - 1] new domains and [jobs = 1] spawns none
-    (everything runs inline, no synchronization).
+    (everything runs inline, no synchronization).  Worker [0] takes its
+    first task of a batch before the other workers are woken, so it runs
+    at least one task of every non-empty batch (unless [abort] skips
+    it).
 
     Memory model: the batch handshake is mutex-protected, so writes a
     task makes before finishing happen-before the reads the caller makes

@@ -554,6 +554,52 @@ let test_shared_pool_reused () =
         checkf (Printf.sprintf "seed %d objective" seed) o1 o2
       done)
 
+(* --------------------------- pinned counts --------------------------- *)
+
+(* The LP kernel may get faster, but as long as it makes the same pivot
+   choices the search tree is the same: every per-step count on a fixed
+   generated K=8 instance is pinned, for both formulations and at one
+   and two domains.  A kernel change that alters tie-breaking fails here
+   and must re-derive these numbers on purpose.  Each tuple is (nodes,
+   LP solves, warm hits, cold solves, refactorizations, pivots). *)
+let k8_counts formulation jobs =
+  let module Augment = Fp_core.Augment in
+  let nl =
+    Fp_netlist.Generator.generate
+      { Fp_netlist.Generator.default_config with
+        Fp_netlist.Generator.num_modules = 8; total_area = 349. *. 8.;
+        seed = 8 }
+  in
+  let config =
+    { Augment.default_config with
+      Augment.formulation; jobs;
+      milp = { Augment.default_config.Augment.milp with BB.time_limit = 1e9 } }
+  in
+  List.map
+    (fun (s : Augment.step_stat) ->
+      ( s.Augment.nodes, s.Augment.lp_solves, s.Augment.warm_hits,
+        s.Augment.cold_solves, s.Augment.refactorizations, s.Augment.pivots ))
+    (Augment.run ~config nl).Augment.steps
+
+let test_k8_counts_pinned () =
+  let show (nodes, lps, warm, cold, refac, pivots) =
+    Printf.sprintf "nodes %d, lp %d, warm %d, cold %d, refac %d, pivots %d"
+      nodes lps warm cold refac pivots
+  in
+  let check name formulation jobs expected =
+    Alcotest.(check (list string)) name (List.map show expected)
+      (List.map show (k8_counts formulation jobs))
+  in
+  let module F = Fp_core.Formulation in
+  check "basic, jobs 1" F.Basic 1
+    [ (53, 53, 52, 1, 0, 227); (4000, 4000, 3999, 1, 0, 13458) ];
+  check "basic, jobs 2" F.Basic 2
+    [ (53, 53, 52, 1, 0, 227); (11997, 11997, 11996, 1, 0, 39167) ];
+  check "tight, jobs 1" F.Tight 1
+    [ (12, 12, 11, 1, 0, 82); (276, 276, 275, 1, 0, 2115) ];
+  check "tight, jobs 2" F.Tight 2
+    [ (12, 12, 11, 1, 0, 82); (372, 372, 371, 1, 0, 2893) ]
+
 let () =
   Alcotest.run "fp_milp"
     [
@@ -610,5 +656,10 @@ let () =
           Alcotest.test_case "per-domain stats" `Quick
             test_parallel_stats_cover_all_domains;
           Alcotest.test_case "shared pool" `Quick test_shared_pool_reused;
+        ] );
+      ( "counts",
+        [
+          Alcotest.test_case "K=8 search counts pinned" `Quick
+            test_k8_counts_pinned;
         ] );
     ]

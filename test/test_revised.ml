@@ -1,11 +1,14 @@
-(* Tests for Fp_lp.Revised: deterministic known LPs, a qcheck oracle
-   pitting the revised simplex against the legacy dense tableau solver
-   on random bounded LPs, and warm-vs-cold equivalence on branched
-   (bound-tightened) subproblems. *)
+(* Tests for Fp_lp.Revised and Fp_lp.Basis: deterministic known LPs, a
+   qcheck oracle pitting the revised simplex against the legacy dense
+   tableau solver on random bounded LPs, warm-vs-cold equivalence on
+   branched (bound-tightened) subproblems, the sparse LU against a dense
+   reference LU, and factor reuse between sibling solves. *)
 
 module Lp = Fp_lp.Lp_problem
 module Simplex = Fp_lp.Simplex
 module Revised = Fp_lp.Revised
+module Basis = Fp_lp.Basis
+module Fault = Fp_util.Fault
 
 let checkf msg = Alcotest.check (Alcotest.float 1e-6) msg
 
@@ -196,7 +199,40 @@ let rlp_gen =
     in
     return { sense_max; bounds; obj; rows })
 
+(* Larger and sparser: up to 14 rows over up to 10 variables, about
+   two coefficients in three zero, so bases have room for fill-in and
+   for exact-zero skipping. *)
+let sparse_rlp_gen =
+  QCheck.Gen.(
+    let* nv = int_range 2 10 in
+    let* bounds =
+      array_repeat nv
+        (let* lo = int_range (-3) 0 in
+         let* span = int_range 1 12 in
+         return (float_of_int lo, float_of_int (lo + span)))
+    in
+    let* obj =
+      array_repeat nv (map (fun n -> float_of_int (n - 5)) (int_bound 10))
+    in
+    let* rows =
+      list_size (int_range 1 14)
+        (let* coeffs =
+           array_repeat nv
+             (frequency
+                [ (2, return 0.);
+                  (1, map (fun n -> float_of_int (n - 4)) (int_bound 8)) ])
+         in
+         let* cmp = frequency [ (5, return Lp.Le); (3, return Lp.Ge) ] in
+         let* rhs = map (fun n -> float_of_int (n - 10)) (int_bound 30) in
+         return (coeffs, cmp, rhs))
+    in
+    let* sense_max = bool in
+    return { sense_max; bounds; obj; rows })
+
 let rlp_arb = QCheck.make ~print:print_rlp rlp_gen
+
+let any_rlp_arb =
+  QCheck.make ~print:print_rlp (QCheck.Gen.oneof [ rlp_gen; sparse_rlp_gen ])
 
 let build r =
   let p = Lp.create () in
@@ -273,6 +309,336 @@ let test_warm_equals_cold =
         !ok
       | _ -> true)
 
+(* ------------------- sparse LU vs dense reference ------------------- *)
+
+(* The dense LU that Basis used to hold, kept here as the reference:
+   partial pivoting on the first row of largest magnitude, L and U in one
+   m x m array, full-width triangular loops that also subtract the exact
+   zeros, and dense product-form etas.  The sparse factors must
+   reproduce every value it computes. *)
+module Dense_lu = struct
+  type t = {
+    m : int;
+    cols : (int * float) array array;
+    basis : int array;
+    mutable lu : float array array;
+    mutable perm : int array;
+    mutable etas : (int * float array) list;  (* newest first *)
+  }
+
+  let factorize m cols basis =
+    let a = Array.make_matrix m m 0. in
+    Array.iteri
+      (fun j bj -> Array.iter (fun (i, v) -> a.(i).(j) <- v) cols.(bj))
+      basis;
+    let perm = Array.init m Fun.id in
+    let rec go k =
+      if k >= m then Some (a, perm)
+      else begin
+        let p = ref k in
+        for i = k + 1 to m - 1 do
+          if Float.abs a.(i).(k) > Float.abs a.(!p).(k) then p := i
+        done;
+        if Float.abs a.(!p).(k) <= Basis.pivot_tol then None
+        else begin
+          let tmp = a.(k) in
+          a.(k) <- a.(!p);
+          a.(!p) <- tmp;
+          let tp = perm.(k) in
+          perm.(k) <- perm.(!p);
+          perm.(!p) <- tp;
+          let row_k = a.(k) in
+          for i = k + 1 to m - 1 do
+            let row_i = a.(i) in
+            let l = row_i.(k) /. row_k.(k) in
+            if l <> 0. then begin
+              row_i.(k) <- l;
+              for j = k + 1 to m - 1 do
+                row_i.(j) <- row_i.(j) -. (l *. row_k.(j))
+              done
+            end
+          done;
+          go (k + 1)
+        end
+      end
+    in
+    go 0
+
+  let create m cols basis =
+    Option.map
+      (fun (lu, perm) ->
+        { m; cols; basis = Array.copy basis; lu; perm; etas = [] })
+      (factorize m cols basis)
+
+  let pivots t = Array.init t.m (fun i -> t.lu.(i).(i))
+
+  let ftran t v =
+    let m = t.m and lu = t.lu in
+    let w = Array.init m (fun i -> v.(t.perm.(i))) in
+    for i = 0 to m - 1 do
+      let acc = ref w.(i) in
+      for j = 0 to i - 1 do
+        acc := !acc -. (lu.(i).(j) *. w.(j))
+      done;
+      w.(i) <- !acc
+    done;
+    for i = m - 1 downto 0 do
+      let acc = ref w.(i) in
+      for j = i + 1 to m - 1 do
+        acc := !acc -. (lu.(i).(j) *. w.(j))
+      done;
+      w.(i) <- !acc /. lu.(i).(i)
+    done;
+    Array.blit w 0 v 0 m;
+    List.iter
+      (fun (r, ecol) ->
+        let vr = v.(r) in
+        if vr <> 0. then begin
+          for i = 0 to m - 1 do
+            v.(i) <- v.(i) +. (ecol.(i) *. vr)
+          done;
+          v.(r) <- ecol.(r) *. vr
+        end)
+      (List.rev t.etas)
+
+  let btran t v =
+    let m = t.m and lu = t.lu in
+    List.iter
+      (fun (r, ecol) ->
+        let acc = ref 0. in
+        for i = 0 to m - 1 do
+          acc := !acc +. (ecol.(i) *. v.(i))
+        done;
+        v.(r) <- !acc)
+      t.etas;
+    let z = Array.make m 0. in
+    for i = 0 to m - 1 do
+      let acc = ref v.(i) in
+      for j = 0 to i - 1 do
+        acc := !acc -. (lu.(j).(i) *. z.(j))
+      done;
+      z.(i) <- !acc /. lu.(i).(i)
+    done;
+    for i = m - 1 downto 0 do
+      let acc = ref z.(i) in
+      for j = i + 1 to m - 1 do
+        acc := !acc -. (lu.(j).(i) *. z.(j))
+      done;
+      z.(i) <- !acc
+    done;
+    for i = 0 to m - 1 do
+      v.(t.perm.(i)) <- z.(i)
+    done
+
+  let update t ~row ~col ~d =
+    let piv = d.(row) in
+    if Float.abs piv <= Basis.pivot_tol then `Tiny_pivot
+    else begin
+      t.basis.(row) <- col;
+      if List.length t.etas >= Basis.refactor_every then
+        match factorize t.m t.cols t.basis with
+        | Some (lu, perm) ->
+          t.lu <- lu;
+          t.perm <- perm;
+          t.etas <- [];
+          `Refactored
+        | None -> `Singular
+      else begin
+        let ecol = Array.init t.m (fun i -> -.d.(i) /. piv) in
+        ecol.(row) <- 1. /. piv;
+        t.etas <- (row, ecol) :: t.etas;
+        `Updated
+      end
+    end
+end
+
+(* The standardized matrix [A | I] of a random LP, as columns. *)
+let columns r =
+  let rows = Array.of_list r.rows in
+  let m = Array.length rows and nv = Array.length r.bounds in
+  let structural =
+    Array.init nv (fun v ->
+        Array.of_list
+          (List.filter_map
+             (fun i ->
+               let coeffs, _, _ = rows.(i) in
+               if coeffs.(v) <> 0. then Some (i, coeffs.(v)) else None)
+             (List.init m Fun.id)))
+  in
+  (m, Array.append structural (Array.init m (fun i -> [| (i, 1.) |])))
+
+(* Sparse vs dense on one random LP: a random basis (a few draws until
+   one is nonsingular, skipped otherwise), then up to 80 random column
+   replacements — past Basis.refactor_every, so the embedded
+   refactorization runs too.  After every step both must agree on the
+   basis and, under [=], on ftran and btran of random vectors. *)
+let sparse_matches_dense r seed =
+  let rng = Random.State.make [| seed |] in
+  let m, cols = columns r in
+  let n = Array.length cols in
+  let mat =
+    let col_start = Array.make (n + 1) 0 in
+    Array.iteri
+      (fun j c -> col_start.(j + 1) <- col_start.(j) + Array.length c)
+      cols;
+    let entries = Array.concat (Array.to_list cols) in
+    { Basis.m; col_start; row_idx = Array.map fst entries;
+      coef = Array.map snd entries }
+  in
+  let sc = Basis.scratch () in
+  let random_basis () =
+    let order = Array.init n Fun.id in
+    for i = n - 1 downto 1 do
+      let j = Random.State.int rng (i + 1) in
+      let t = order.(i) in
+      order.(i) <- order.(j);
+      order.(j) <- t
+    done;
+    Array.sub order 0 m
+  in
+  let random_vec () =
+    Array.init m (fun _ -> float_of_int (Random.State.int rng 11 - 5))
+  in
+  let solves_agree sparse dense =
+    List.for_all
+      (fun (sp, de) ->
+        let v = random_vec () in
+        let a = Array.copy v and b = Array.copy v in
+        sp sparse a;
+        de dense b;
+        a = b)
+      [ (Basis.ftran, Dense_lu.ftran); (Basis.btran, Dense_lu.btran) ]
+  in
+  let rec attempt tries =
+    if tries = 0 then true
+    else begin
+      let basis = random_basis () in
+      match (Basis.factorize sc mat basis, Dense_lu.create m cols basis) with
+      | Error `Singular, None -> attempt (tries - 1)
+      | Ok _, None | Error `Singular, Some _ -> false
+      | Ok f, Some dense ->
+        Basis.permutation f = dense.Dense_lu.perm
+        && Basis.pivots f = Dense_lu.pivots dense
+        &&
+        let sparse = Basis.of_factor sc mat f in
+        let rec step k =
+          if k = 0 then true
+          else begin
+            let col = Random.State.int rng n in
+            if Array.mem col (Basis.basis sparse) then step (k - 1)
+            else begin
+              let d = Array.make m 0. in
+              Array.iter (fun (i, c) -> d.(i) <- c) cols.(col);
+              let d' = Array.copy d in
+              Basis.ftran sparse d;
+              Dense_lu.ftran dense d';
+              d = d'
+              &&
+              let row = ref 0 in
+              Array.iteri
+                (fun i x -> if Float.abs x > Float.abs d.(!row) then row := i)
+                d;
+              let got =
+                match Basis.update sparse ~row:!row ~col ~d with
+                | Ok `Updated -> `Updated
+                | Ok `Refactored -> `Refactored
+                | Error `Tiny_pivot -> `Tiny_pivot
+                | Error `Singular -> `Singular
+              in
+              got = Dense_lu.update dense ~row:!row ~col ~d:d'
+              && Basis.basis sparse = dense.Dense_lu.basis
+              && (got = `Singular
+                 || (solves_agree sparse dense && step (k - 1)))
+            end
+          end
+        in
+        solves_agree sparse dense && step (Random.State.int rng 81)
+    end
+  in
+  attempt 5
+
+let test_sparse_lu_matches_dense =
+  QCheck.Test.make
+    ~name:"sparse LU = dense reference LU (pivots, ftran, btran, etas)"
+    ~count:300
+    (QCheck.pair any_rlp_arb QCheck.small_nat)
+    (fun (r, seed) -> sparse_matches_dense r seed)
+
+(* ------------------------- factor reuse ------------------------------ *)
+
+(* Branch every variable of a random LP's optimum down and up, as B&B
+   does: the first child factorizes the parent basis into the shared
+   slot, the second (its last expected user) reuses it and lets it go.
+   Both must return exactly what a stand-alone solve_from (which
+   factorizes afresh) returns. *)
+let test_sibling_factor_reuse =
+  QCheck.Test.make
+    ~name:"solve_from on a sibling's factor = solve_from factoring afresh"
+    ~count:150 any_rlp_arb (fun r ->
+      let p = build r in
+      match Revised.solve p with
+      | Revised.Optimal { x; basis; _ }, _ ->
+        let ws = Revised.workspace () in
+        let ok = ref true in
+        Array.iteri
+          (fun v xv ->
+            let lb = Lp.var_lb p v and ub = Lp.var_ub p v in
+            let slot = Revised.factor_slot ~uses:2 () in
+            List.iter
+              (fun (nlb, nub) ->
+                if !ok && nub >= nlb then begin
+                  Lp.set_bounds p v ~lb:nlb ~ub:nub;
+                  let shared = Revised.solve_from_ws ws ~slot basis p in
+                  let fresh = Revised.solve_from basis p in
+                  if shared <> fresh then ok := false;
+                  Lp.set_bounds p v ~lb ~ub
+                end)
+              [
+                (lb, Float.min ub (Float.floor xv));
+                (Float.max lb (Float.ceil xv), ub);
+              ])
+          x;
+        !ok
+      | _ -> true)
+
+(* The singular-LU fault fires once per warm solve, reused factor or
+   not; a fired fault takes the cold fallback and leaves the shared
+   factor in place for the next sibling. *)
+let test_singular_fault_with_shared_factor () =
+  Fault.reset ();
+  Fun.protect ~finally:Fault.reset @@ fun () ->
+  let p = Lp.create () in
+  let x = Lp.add_var p ~ub:10. ~obj:(-3.) "x" in
+  let y = Lp.add_var p ~ub:10. ~obj:(-5.) "y" in
+  Lp.add_constr p [ (1., x); (2., y) ] Lp.Le 14.;
+  Lp.add_constr p [ (3., x); (-1., y) ] Lp.Ge 0.;
+  Lp.add_constr p [ (1., x); (-1., y) ] Lp.Le 2.;
+  let basis =
+    match Revised.solve p with
+    | Revised.Optimal { basis; _ }, _ -> basis
+    | _ -> Alcotest.fail "root solve failed"
+  in
+  let ws = Revised.workspace () and slot = Revised.factor_slot () in
+  let child ub =
+    Lp.set_bounds p x ~lb:0. ~ub;
+    Revised.solve_from_ws ws ~slot basis p
+  in
+  let site = "basis.singular_lu" in
+  Fault.arm (Fault.spec ~after:max_int site);
+  let first = child 3. in
+  let second = child 2. in
+  Alcotest.(check int) "one hit per warm solve, reused or not" 2
+    (Fault.hits site);
+  Alcotest.(check bool) "both warm" true
+    ((snd first).Revised.warm && (snd second).Revised.warm);
+  Fault.arm (Fault.spec ~count:1 site);
+  let faulted = child 2. in
+  Alcotest.(check bool) "fired fault falls back cold" true
+    (faulted = Revised.solve p);
+  let after = child 2. in
+  Alcotest.(check bool) "factor still shared after the fault" true
+    ((snd after).Revised.warm && after = Revised.solve_from basis p)
+
 let () =
   Alcotest.run "fp_lp_revised"
     [
@@ -290,10 +656,14 @@ let () =
             test_warm_after_bound_change;
           Alcotest.test_case "warm detects infeasible" `Quick
             test_warm_detects_infeasible;
+          Alcotest.test_case "singular fault with shared factor" `Quick
+            test_singular_fault_with_shared_factor;
         ] );
       ( "oracle",
         [
           QCheck_alcotest.to_alcotest test_revised_matches_dense;
           QCheck_alcotest.to_alcotest test_warm_equals_cold;
+          QCheck_alcotest.to_alcotest test_sparse_lu_matches_dense;
+          QCheck_alcotest.to_alcotest test_sibling_factor_reuse;
         ] );
     ]
