@@ -506,12 +506,10 @@ let ablation_warm_start () =
   List.iter
     (fun k ->
       let nl = Fp_data.Instances.table1_instance k in
-      let run ~warm_lp ~shadow =
+      let run ~warm_lp =
         let base = base_config () in
         let config =
-          { base with
-            Augment.milp =
-              { base.Augment.milp with BB.warm_lp; shadow_cold = shadow } }
+          { base with Augment.milp = { base.Augment.milp with BB.warm_lp } }
         in
         let t0 = Unix.gettimeofday () in
         let res, pl = floorplan ~config nl in
@@ -521,13 +519,9 @@ let ablation_warm_start () =
         in
         (res.Augment.steps, pl, dt, errors)
       in
-      (* Two end-to-end runs (honest wall clock for each engine), plus a
-         shadow run that prices every warm node with a cold solve too —
-         the matched-tree comparison the acceptance number comes from:
-         same subproblems, same floorplan by construction. *)
-      let cold_steps, cold_pl, cold_dt, cold_err = run ~warm_lp:false ~shadow:false in
-      let warm_steps, warm_pl, warm_dt, warm_err = run ~warm_lp:true ~shadow:false in
-      let sh_steps, sh_pl, _, _ = run ~warm_lp:true ~shadow:true in
+      (* Two end-to-end runs, with honest wall clock for each engine. *)
+      let cold_steps, cold_pl, cold_dt, cold_err = run ~warm_lp:false in
+      let warm_steps, warm_pl, warm_dt, warm_err = run ~warm_lp:true in
       let report mode steps pl dt errors =
         printf "%4d %-6s %12.0f %9.1f%% %10d %10d %10d %10.2f %10s\n" k mode
           (Placement.chip_area pl)
@@ -540,23 +534,6 @@ let ablation_warm_start () =
       in
       report "cold" cold_steps cold_pl cold_dt cold_err;
       report "warm" warm_steps warm_pl warm_dt warm_err;
-      let matched_warm = sum_steps (fun s -> s.Augment.pivots) sh_steps in
-      let matched_cold = sum_steps (fun s -> s.Augment.shadow_pivots) sh_steps in
-      let ratio =
-        if matched_warm = 0 then Float.infinity
-        else float_of_int matched_cold /. float_of_int matched_warm
-      in
-      (* The shadow run must reproduce the plain warm run exactly (the
-         extra solves are side-effect free); flag it if numerics ever
-         break that. *)
-      let same pl1 pl2 =
-        Float.abs (Placement.chip_area pl1 -. Placement.chip_area pl2)
-          <= 1e-6 *. Float.max 1. (Placement.chip_area pl1)
-      in
-      printf
-        "     matched tree: cold %d vs warm %d pivots -> %.2fx reduction%s\n"
-        matched_cold matched_warm ratio
-        (if same sh_pl warm_pl then "" else "  (SHADOW RUN DIVERGED)");
       let mode_obj steps pl dt errors =
         Json.Obj
           ([
@@ -582,10 +559,6 @@ let ablation_warm_start () =
             ("k", Json.Int k);
             ("cold", mode_obj cold_steps cold_pl cold_dt cold_err);
             ("warm", mode_obj warm_steps warm_pl warm_dt warm_err);
-            ("matched_cold_pivots", Json.Int matched_cold);
-            ("matched_warm_pivots", Json.Int matched_warm);
-            ("pivot_ratio", Json.Float ratio);
-            ("identical_result", Json.Bool (same sh_pl warm_pl));
           ]
         :: !rows)
     sizes;

@@ -35,7 +35,6 @@ type step_stat = {
   warm_hits : int;
   cold_solves : int;
   pivots : int;
-  shadow_pivots : int;
   refactorizations : int;
   cuts_added : int;
   cuts_purged : int;
@@ -170,14 +169,16 @@ let config_digest cfg =
   p "compact:%b;" cfg.compact_each_step;
   p "netbound:%b;" (cfg.critical_net_bound <> None);
   let m = cfg.milp in
+  (* The integrality tolerance, [shadow_cold] and [deterministic] were
+     MILP params once and are now fixed; they are still emitted, at the
+     values they always had, so journals checkpointed while they existed
+     keep resuming. *)
   p "milp:%d:%h:%h:%h:%s:%b:%b:%b;" m.Branch_bound.node_limit
-    m.Branch_bound.time_limit m.Branch_bound.int_tol
-    m.Branch_bound.min_improvement
+    m.Branch_bound.time_limit 1e-6 m.Branch_bound.min_improvement
     (match m.Branch_bound.branch_rule with
     | Branch_bound.Most_fractional -> "mf"
     | Branch_bound.First_fractional -> "ff")
-    m.Branch_bound.warm_lp m.Branch_bound.shadow_cold
-    m.Branch_bound.deterministic;
+    m.Branch_bound.warm_lp false true;
   p "cand:%d;" cfg.candidates;
   (match cfg.run_time_limit with
   | None -> p "deadline:none;"
@@ -278,7 +279,7 @@ let no_outcome =
   {
     Branch_bound.status = Branch_bound.No_solution; best = None; nodes = 0;
     lp_solves = 0; warm_hits = 0; cold_solves = 0; refactorizations = 0;
-    pivots = 0; shadow_pivots = 0; numerical_recoveries = 0;
+    pivots = 0; numerical_recoveries = 0;
     cuts_added = 0; cuts_purged = 0; separation_time = 0.; tasks_lost = 0;
     root_bound = nan; elapsed = 0.;
     per_domain = [||]; frontier_tasks = 0; waves = 0;
@@ -639,7 +640,6 @@ let run ?(config = default_config) ?resume ?pool:shared_pool nl =
         warm_hits = outcome.Branch_bound.warm_hits;
         cold_solves = outcome.Branch_bound.cold_solves;
         pivots = outcome.Branch_bound.pivots;
-        shadow_pivots = outcome.Branch_bound.shadow_pivots;
         refactorizations = outcome.Branch_bound.refactorizations;
         cuts_added = outcome.Branch_bound.cuts_added;
         cuts_purged = outcome.Branch_bound.cuts_purged;

@@ -61,9 +61,6 @@ type step_stat = {
   warm_hits : int;               (** node LPs answered from the parent basis *)
   cold_solves : int;             (** node LPs solved from scratch *)
   pivots : int;                  (** total simplex pivots (primal + dual) *)
-  shadow_pivots : int;
-      (** cold-engine pivots on the same node sequence; [0] unless
-          {!Fp_milp.Branch_bound.params}[.shadow_cold] *)
   refactorizations : int;        (** basis refactorizations across node LPs *)
   cuts_added : int;
       (** cutting planes appended by separation rounds across all nodes;

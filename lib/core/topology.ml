@@ -160,6 +160,8 @@ let optimize ?(linearization = Formulation.Secant) nl pl =
       ms;
     (!rebuilt, { stats_base with height_after = !rebuilt.Placement.height })
   | Simplex.Infeasible | Simplex.Unbounded | Simplex.Iteration_limit ->
-    (* The input point is feasible, so this is numerical bad luck; keep
-       the original placement. *)
+    (* Expected, not only numerical: the input point itself can violate
+       the LP, because a flexible module's linearized height may exceed
+       its placed envelope height (see the .mli).  Keep the original
+       placement. *)
     (pl, stats_base)

@@ -9,8 +9,16 @@
     envelopes, the satisfied relation (left / right / below / above)
     becomes a hard constraint; module positions — and the widths of
     flexible modules — are then re-optimized to minimize chip height at
-    fixed width.  Because the input placement is itself feasible for the
-    LP, the result can only improve (or keep) the height. *)
+    fixed width.  The result never raises the height: when the LP has no
+    optimum the input placement is returned unchanged.
+
+    The input placement is not always feasible for the LP.  A flexible
+    module's linearized height ({!Formulation.linearization}) can exceed
+    its placed envelope height, so a below/above row with no slack is
+    violated at the input point.  For example, on the bundled ami33
+    planned with the [tight] formulation at 200 nodes per step, the LP
+    is infeasible for that reason (the rows above [bk26] and [bk30] are
+    over by 2.08 and 1.15), and [optimize] returns its input. *)
 
 type stats = {
   num_vars : int;

@@ -1057,7 +1057,7 @@ let abort_sum_equal a b =
 (* ------------------------------------------------------------------ *)
 
 (* Render the target of an Atomic op as a stable key: [x], [d.bottom],
-   [sh.sh_best].  [None] for computed targets. *)
+   [s.best].  [None] for computed targets. *)
 let rec atomic_key e =
   match e.pexp_desc with
   | Pexp_ident { txt; _ } -> Some (String.concat "." (norm (flatten txt)))

@@ -44,10 +44,6 @@ type tableau = {
   z : float array;              (* n reduced costs for the current phase *)
 }
 
-let dummy_stats = { phase1_iters = 0; phase2_iters = 0; rows = 0; cols = 0 }
-let stats_ref = ref dummy_stats
-let last_stats () = !stats_ref
-
 (* ------------------------------------------------------------------ *)
 (* Standardization                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -446,10 +442,7 @@ let solve_with_stats ?max_iters prob =
         !infeas <= feas_tol *. Float.max 1. (Array.fold_left ( +. ) 0. t.rhs0)
     end
   in
-  if phase1_needed && not phase1_ok then begin
-    stats_ref := mk_stats !p1_iters 0;
-    (Infeasible, !stats_ref)
-  end
+  if phase1_needed && not phase1_ok then (Infeasible, mk_stats !p1_iters 0)
   else begin
     (* Freeze artificials at 0 and never let them move again. *)
     for j = t.first_artificial to t.n - 1 do
@@ -458,13 +451,13 @@ let solve_with_stats ?max_iters prob =
     done;
     price t t.cost;
     let outcome, p2_iters = run_phase t ~budget:(budget - !p1_iters) in
-    stats_ref := mk_stats !p1_iters p2_iters;
+    let stats = mk_stats !p1_iters p2_iters in
     match outcome with
-    | Phase_unbounded -> (Unbounded, !stats_ref)
-    | Phase_iters -> (Iteration_limit, !stats_ref)
+    | Phase_unbounded -> (Unbounded, stats)
+    | Phase_iters -> (Iteration_limit, stats)
     | Phase_optimal ->
       let x = extract t prob in
-      (Optimal { x; obj = Lp_problem.objective_value prob x }, !stats_ref)
+      (Optimal { x; obj = Lp_problem.objective_value prob x }, stats)
   end
 
 let solve ?max_iters prob = fst (solve_with_stats ?max_iters prob)

@@ -39,7 +39,3 @@ val solve : ?max_iters:int -> Lp_problem.t -> result
     across both phases (default [50 * (rows + cols) + 2000]). *)
 
 val solve_with_stats : ?max_iters:int -> Lp_problem.t -> result * stats
-
-val last_stats : unit -> stats
-(** Statistics of the most recent [solve] on this domain; handy for
-    ablation benchmarks. *)

@@ -31,14 +31,10 @@ type cutter = float array -> cut list
 type params = {
   node_limit : int;
   time_limit : float;
-  int_tol : float;
   min_improvement : float;
-  log : bool;
   branch_rule : branch_rule;
   warm_lp : bool;
-  shadow_cold : bool;
   jobs : int;
-  deterministic : bool;
   ramp_nodes : int;
   cut_rounds : int;
   cuts_per_round : int;
@@ -49,19 +45,19 @@ let default_params =
   {
     node_limit = 200_000;
     time_limit = 120.;
-    int_tol = 1e-6;
     min_improvement = 1e-7;
-    log = false;
     branch_rule = Most_fractional;
     warm_lp = true;
-    shadow_cold = false;
     jobs = 1;
-    deterministic = true;
     ramp_nodes = 32;
     cut_rounds = 4;
     cuts_per_round = 16;
     propagate = false;
   }
+
+(* Integrality tolerance: a value this close to an integer counts as
+   integral. *)
+let int_tol = 1e-6
 
 type status = Optimal | Feasible | Infeasible | Unbounded | No_solution
 
@@ -72,7 +68,6 @@ type domain_work = {
   d_cold_solves : int;
   d_refactorizations : int;
   d_pivots : int;
-  d_shadow_pivots : int;
   d_numerical_recoveries : int;
   d_cuts_added : int;
   d_cuts_purged : int;
@@ -88,7 +83,6 @@ type outcome = {
   cold_solves : int;
   refactorizations : int;
   pivots : int;
-  shadow_pivots : int;
   numerical_recoveries : int;
   cuts_added : int;
   cuts_purged : int;
@@ -100,29 +94,6 @@ type outcome = {
   frontier_tasks : int;
   waves : int;
 }
-
-(* Incumbent shared across domains in free-running mode.  The atomic
-   holds the minimized-form objective; the witness point sits behind a
-   mutex because it is updated rarely and read once at the end. *)
-type shared = {
-  sh_best : float Atomic.t;
-  sh_lock : Mutex.t;
-  mutable sh_x : (float array * float) option;
-  sh_nodes : int Atomic.t;  (* global node count toward [node_limit] *)
-}
-
-let rec publish_shared sh x m =
-  let cur = Atomic.get sh.sh_best in
-  if m < cur then begin
-    if Atomic.compare_and_set sh.sh_best cur m then begin
-      Mutex.lock sh.sh_lock;
-      (match sh.sh_x with
-      | Some (_, m') when m' <= m -> ()
-      | _ -> sh.sh_x <- Some (Array.copy x, m));
-      Mutex.unlock sh.sh_lock
-    end
-    else publish_shared sh x m
-  end
 
 (* A subtree handed to the pool: the accumulated variable-bound settings
    from the root (absolute values, root-first, later entries override
@@ -156,7 +127,6 @@ type search = {
   cutter : cutter option;       (* separation callback, None = no cuts *)
   base_nrows : int;             (* rows the model owns; cut rows live above *)
   deadline : float;
-  shared : shared option;       (* free-running mode only *)
   mutable node_budget : int;    (* this search stops at [nodes >= node_budget] *)
   mutable capture : (task -> unit) option;
   mutable ramp_limit : int;     (* capture instead of exploring beyond this *)
@@ -166,7 +136,6 @@ type search = {
   mutable cold_solves : int;
   mutable refactorizations : int;
   mutable pivots : int;
-  mutable shadow_pivots : int;
   mutable numerical_recoveries : int;
   mutable cuts_added : int;
   mutable cuts_purged : int;
@@ -191,7 +160,7 @@ let fractionality x v =
 let pick_branch_var s x =
   match s.prm.branch_rule with
   | Most_fractional ->
-    let best = ref (-1) and best_f = ref s.prm.int_tol in
+    let best = ref (-1) and best_f = ref int_tol in
     List.iter
       (fun v ->
         let f = fractionality x v in
@@ -203,27 +172,15 @@ let pick_branch_var s x =
     if !best < 0 then None else Some !best
   | First_fractional ->
     List.find_opt
-      (fun v -> fractionality x v > s.prm.int_tol)
+      (fun v -> fractionality x v > int_tol)
       (Model.integer_vars s.model)
 
-(* The pruning bound: the local incumbent, sharpened by the cross-domain
-   incumbent in free-running mode.  Sequential and deterministic
-   searches have [shared = None], where this is exactly [best_m]. *)
-let cutoff s =
-  match s.shared with
-  | None -> s.best_m
-  | Some sh -> Float.min s.best_m (Atomic.get sh.sh_best)
-
 let update_incumbent s x m =
-  if m < cutoff s -. s.prm.min_improvement then begin
+  if m < s.best_m -. s.prm.min_improvement then begin
     s.best_m <- m;
     s.best_x <- Some (Array.copy x);
-    (match s.shared with
-    | Some sh -> publish_shared sh x m
-    | None -> ());
-    if s.prm.log then
-      Log.info (fun f ->
-          f "incumbent %.6g after %d nodes" (s.sense_mult *. m) s.nodes)
+    Log.debug (fun f ->
+        f "incumbent %.6g after %d nodes" (s.sense_mult *. m) s.nodes)
   end
 
 (* Explore under temporarily tightened bounds; always restores. *)
@@ -243,9 +200,6 @@ let with_bounds s settings k =
 
 let budget_exhausted s =
   s.nodes >= s.node_budget
-  || (match s.shared with
-     | Some sh -> Atomic.get sh.sh_nodes >= s.prm.node_limit
-     | None -> false)
   || Unix.gettimeofday () > s.deadline
   || Fault.fire site_budget
 
@@ -272,17 +226,6 @@ let solve_node_lp s parent_basis ~slot =
     (warm_requested && not st.warm)
     || (match result with Revised.Iteration_limit -> true | _ -> false)
   then s.numerical_recoveries <- s.numerical_recoveries + 1;
-  (* Shadow accounting: price the identical subproblem with a cold solve
-     (discarding its answer) so warm and cold engines are compared on the
-     same search tree.  [Revised.solve] only reads the problem, so the
-     search itself is unaffected. *)
-  if s.prm.shadow_cold then begin
-    if st.warm then begin
-      let _, (cst : Revised.stats) = Revised.solve_ws s.ws s.prob in
-      s.shadow_pivots <- s.shadow_pivots + cst.primal_pivots + cst.dual_pivots
-    end
-    else s.shadow_pivots <- s.shadow_pivots + st.primal_pivots + st.dual_pivots
-  end;
   result
 
 (* A stand-in LP point when the node's LP failed: every unfixed integer
@@ -291,7 +234,7 @@ let solve_node_lp s parent_basis ~slot =
 let pseudo_point s =
   Array.init (Lp_problem.num_vars s.prob) (fun v ->
       let lb = Lp_problem.var_lb s.prob v and ub = Lp_problem.var_ub s.prob v in
-      if ub -. lb <= s.prm.int_tol then lb
+      if ub -. lb <= int_tol then lb
       else if lb > neg_infinity then lb +. 0.5
       else if ub < infinity then ub -. 0.5
       else 0.5)
@@ -435,7 +378,7 @@ let propagate_node s =
         (if s.sense_mult > 0. then lo else -.hi)
         +. (s.sense_mult *. Model.objective_constant s.model)
       in
-      if m_lo >= cutoff s -. s.prm.min_improvement then begin
+      if m_lo >= s.best_m -. s.prm.min_improvement then begin
         restore undo;
         `Pruned
       end
@@ -472,9 +415,6 @@ let rec explore s ~depth ~trail ~parent_basis ~slot ~parent_bound =
           (fun () ->
             let trail = List.rev_append applied trail in
             s.nodes <- s.nodes + 1;
-            (match s.shared with
-            | Some sh -> Atomic.incr sh.sh_nodes
-            | None -> ());
             expand s ~depth ~trail ~parent_basis ~parent_bound
               (solve_node_lp s parent_basis ~slot))
     end
@@ -503,7 +443,7 @@ and expand_node s ~depth ~trail ~parent_basis ~parent_bound ~entry_nrows
        it if possible, otherwise branch blind and keep going — only
        when the node is fully fixed must the subtree be abandoned, and
        then optimality can no longer be claimed. *)
-    if parent_bound >= cutoff s -. s.prm.min_improvement then ()
+    if parent_bound >= s.best_m -. s.prm.min_improvement then ()
     else begin
       Log.warn (fun f ->
           f "LP iteration limit at depth %d; retreating to parent bound"
@@ -519,13 +459,13 @@ and expand_node s ~depth ~trail ~parent_basis ~parent_bound ~entry_nrows
        bounded this cannot happen. *)
   | Revised.Optimal { x; obj; basis } ->
     let m = s.sense_mult *. (obj +. Model.objective_constant s.model) in
-    if m >= cutoff s -. s.prm.min_improvement then () (* bound prune *)
+    if m >= s.best_m -. s.prm.min_improvement then () (* bound prune *)
     else begin
       match cut_rounds s x m basis with
       | None -> () (* cut-augmented LP infeasible: subtree holds no
                       integer point (cuts are globally valid) *)
       | Some (x, m, basis) ->
-        if m >= cutoff s -. s.prm.min_improvement then
+        if m >= s.best_m -. s.prm.min_improvement then
           () (* bound prune after cut tightening — where cuts pay *)
         else begin
           match pick_branch_var s x with
@@ -556,8 +496,7 @@ and branch s ~depth ~trail x v ~basis ~bound =
           ~parent_basis:basis ~slot ~parent_bound:bound)
   in
   match Hashtbl.find_opt s.partner v with
-  | Some w when fractionality x v > s.prm.int_tol
-             || fractionality x w > s.prm.int_tol ->
+  | Some w when fractionality x v > int_tol || fractionality x w > int_tol ->
     (* 4-way branching on the disjunction pair (v, w): each child fixes a
        combination, visiting the combination closest to the LP point
        first. *)
@@ -594,7 +533,7 @@ let work_of s =
   {
     d_nodes = s.nodes; d_lp_solves = s.lp_solves; d_warm_hits = s.warm_hits;
     d_cold_solves = s.cold_solves; d_refactorizations = s.refactorizations;
-    d_pivots = s.pivots; d_shadow_pivots = s.shadow_pivots;
+    d_pivots = s.pivots;
     d_numerical_recoveries = s.numerical_recoveries;
     d_cuts_added = s.cuts_added; d_cuts_purged = s.cuts_purged;
     d_separation_time = s.separation_time;
@@ -610,7 +549,6 @@ let sum_work ws =
         d_cold_solves = a.d_cold_solves + w.d_cold_solves;
         d_refactorizations = a.d_refactorizations + w.d_refactorizations;
         d_pivots = a.d_pivots + w.d_pivots;
-        d_shadow_pivots = a.d_shadow_pivots + w.d_shadow_pivots;
         d_numerical_recoveries =
           a.d_numerical_recoveries + w.d_numerical_recoveries;
         d_cuts_added = a.d_cuts_added + w.d_cuts_added;
@@ -618,7 +556,7 @@ let sum_work ws =
         d_separation_time = a.d_separation_time +. w.d_separation_time;
       })
     { d_nodes = 0; d_lp_solves = 0; d_warm_hits = 0; d_cold_solves = 0;
-      d_refactorizations = 0; d_pivots = 0; d_shadow_pivots = 0;
+      d_refactorizations = 0; d_pivots = 0;
       d_numerical_recoveries = 0; d_cuts_added = 0; d_cuts_purged = 0;
       d_separation_time = 0. }
     ws
@@ -643,7 +581,7 @@ type task_result = {
 (* Run one captured subtree on worker state [s] (its own problem copy):
    apply the trail, explore, restore the trail's variables from the root
    bounds.  Pure function of (task, entry, budget) apart from the wall
-   clock and, in free-running mode, the shared incumbent. *)
+   clock. *)
 let run_task s ~base_lb ~base_ub task ~entry ~budget =
   s.best_m <- entry;
   s.best_x <- None;
@@ -691,7 +629,7 @@ let run_task s ~base_lb ~base_ub task ~entry ~budget =
    search state, just finished with the ramp-up (its problem is back at
    root bounds); [finish] packages the outcome.
 
-   Deterministic mode replays the sequential search exactly: subtrees
+   The frontier phase replays the sequential search exactly: subtrees
    are explored speculatively in parallel (every task of a wave entering
    with the same incumbent bound), then their results are consumed in
    DFS order; a task whose speculation contract no longer matches what
@@ -700,13 +638,8 @@ let run_task s ~base_lb ~base_ub task ~entry ~budget =
    used — is re-explored, incumbent-stale tasks as a fresh wave and
    budget-stale tasks alone with the exact remaining budget.  With a
    good warm start incumbent improvements are rare and one wave usually
-   suffices.
-
-   Free-running mode launches every subtree once, sharing the incumbent
-   and the node count through atomics — less redundant work under
-   frequent incumbent traffic, but which nodes get pruned depends on
-   thread timing. *)
-let solve_frontier s ~pool ~jobs ~shared ~mk_search ~tasks ~finish =
+   suffices. *)
+let solve_frontier s ~pool ~jobs ~mk_search ~tasks ~finish =
   let owned_pool = ref None in
   let pool =
     match pool with
@@ -735,9 +668,8 @@ let solve_frontier s ~pool ~jobs ~shared ~mk_search ~tasks ~finish =
   let state_of worker = states.(worker) in
   let n = Array.length tasks in
   let results : task_result option array = Array.make n None in
-  let ramp_nodes = s.nodes in
   let chain_m = ref s.best_m and chain_x = ref s.best_x in
-  let consumed = ref ramp_nodes in
+  let consumed = ref s.nodes in
   let out_of_budget = ref s.out_of_budget in
   let bound_incomplete = ref s.bound_incomplete in
   let waves = ref 0 in
@@ -755,118 +687,86 @@ let solve_frontier s ~pool ~jobs ~shared ~mk_search ~tasks ~finish =
             Some (run_task (state_of worker) ~base_lb ~base_ub tasks.(i)
                     ~entry ~budget))
   in
-  (* Re-run a lost subtree inline on the calling domain, under the exact
-     contract the consumer needs.  Sits outside [launch_wave]'s injection
-     point, so recovery cannot itself be lost. *)
-  let recover i ~entry ~budget =
-    incr tasks_lost;
-    let r = run_task (state_of 0) ~base_lb ~base_ub tasks.(i) ~entry ~budget in
-    results.(i) <- Some r;
-    r
-  in
-  (match shared with
-  | Some sh ->
-    (* Free-running: one wave; the per-task budget is only a backstop,
-       the real limit is the shared node counter. *)
-    let budget = Int.max 0 (s.prm.node_limit - ramp_nodes) in
-    launch_wave ~from:0 ~entry:!chain_m ~budget;
-    Array.iteri
-      (fun i r ->
-        if r = None then ignore (recover i ~entry:!chain_m ~budget))
-      results;
-    Array.iter
-      (fun r ->
-        let r = Option.get r in
-        consumed := !consumed + r.r_nodes;
-        if r.r_hit_nodes || r.r_hit_time then out_of_budget := true;
-        if r.r_bound_incomplete then bound_incomplete := true)
-      results;
-    if Atomic.get sh.sh_nodes >= s.prm.node_limit then out_of_budget := true;
-    Mutex.lock sh.sh_lock;
-    (match sh.sh_x with
-    | Some (x, m) when m < !chain_m ->
+  let accept r =
+    consumed := !consumed + r.r_nodes;
+    if r.r_bound_incomplete then bound_incomplete := true;
+    match r.r_found with
+    | Some (x, m) ->
+      (* [run_task] only reports strict improvements over its entry
+         bound, which was the chain value. *)
       chain_m := m;
       chain_x := Some x
-    | _ -> ());
-    Mutex.unlock sh.sh_lock
-  | None ->
-    (* Deterministic replay with speculative waves. *)
-    let accept r =
-      consumed := !consumed + r.r_nodes;
-      if r.r_bound_incomplete then bound_incomplete := true;
-      match r.r_found with
-      | Some (x, m) ->
-        (* [run_task] only reports strict improvements over its entry
-           bound, which was the chain value. *)
-        chain_m := m;
-        chain_x := Some x
-      | None -> ()
-    in
-    (* If the ramp-up itself ran out of budget the sequential search
-       would touch none of the captured subtrees. *)
-    let i = ref 0 and stop = ref !out_of_budget in
-    while !i < n && not !stop do
-      let remaining = s.prm.node_limit - !consumed in
-      if remaining <= 0 then begin
-        (* The sequential search checks the budget before every node, so
-           it would refuse to open any further subtree. *)
+    | None -> ()
+  in
+  (* If the ramp-up itself ran out of budget the sequential search
+     would touch none of the captured subtrees. *)
+  let i = ref 0 and stop = ref !out_of_budget in
+  while !i < n && not !stop do
+    let remaining = s.prm.node_limit - !consumed in
+    if remaining <= 0 then begin
+      (* The sequential search checks the budget before every node, so
+         it would refuse to open any further subtree. *)
+      out_of_budget := true;
+      stop := true
+    end
+    else begin
+      (match results.(!i) with
+      | Some r when r.r_entry = !chain_m -> ()
+      | None when !waves > 0 ->
+        (* Launched (the first wave starts at task 0 and every wave
+           runs to the last task) but lost: recovered below. *)
+        ()
+      | _ ->
+        (* Incumbent is stale (or first visit): every remaining task
+           speculated on the wrong entry bound, so relaunch them all
+           as one wave under the current chain value. *)
+        launch_wave ~from:!i ~entry:!chain_m ~budget:remaining);
+      let r =
+        match results.(!i) with
+        | Some r -> r
+        | None ->
+          (* Lost: re-run it inline on the calling domain with the exact
+             sequential contract, which also makes the result admissible
+             by construction.  This sits outside [launch_wave]'s
+             injection point, so recovery cannot itself be lost.  Every
+             lost task the consumer reaches is counted, whichever domain
+             happened to lose it. *)
+          incr tasks_lost;
+          run_task (state_of 0) ~base_lb ~base_ub tasks.(!i)
+            ~entry:!chain_m ~budget:remaining
+      in
+      if r.r_hit_time then begin
+        (* Wall clock ran out mid-subtree: accept what was found;
+           exactness — and hence replay determinism — ends here, as it
+           does for any time-limited run. *)
+        accept r;
         out_of_budget := true;
         stop := true
       end
-      else begin
-        (match results.(!i) with
-        | Some r when r.r_entry = !chain_m -> ()
-        | None when !waves > 0 ->
-          (* Launched (the first wave starts at task 0 and every wave
-             runs to the last task) but lost: recovered below. *)
-          ()
-        | _ ->
-          (* Incumbent is stale (or first visit): every remaining task
-             speculated on the wrong entry bound, so relaunch them all
-             as one wave under the current chain value. *)
-          launch_wave ~from:!i ~entry:!chain_m ~budget:remaining);
-        let r =
-          match results.(!i) with
-          | Some r -> r
-          | None ->
-            (* Lost: recover inline with the exact sequential contract,
-               which also makes the result admissible by construction.
-               Every lost task the consumer reaches is counted, whichever
-               domain happened to lose it. *)
-            recover !i ~entry:!chain_m ~budget:remaining
-        in
-        if r.r_hit_time then begin
-          (* Wall clock ran out mid-subtree: accept what was found;
-             exactness — and hence replay determinism — ends here, as it
-             does for any time-limited run. *)
-          accept r;
-          out_of_budget := true;
-          stop := true
-        end
-        else if r.r_hit_nodes && r.r_budget = remaining then begin
-          (* Ran with the exact remaining budget and exhausted it: the
-             sequential search runs out of nodes inside this very
-             subtree, finding the same incumbents on the way. *)
-          accept r;
-          out_of_budget := true;
-          stop := true
-        end
-        else if r.r_nodes > remaining || r.r_hit_nodes then
-          (* Speculated past the real budget (or was cut off below it):
-             re-run this one subtree with the exact remaining budget.
-             The next iteration consumes it via one of the cases above. *)
-          results.(!i) <-
-            Some
-              (run_task (state_of 0) ~base_lb ~base_ub tasks.(!i)
-                 ~entry:!chain_m ~budget:remaining)
-        else begin
-          (* Admissible: byte-for-byte what the sequential search would
-             have done with this subtree. *)
-          accept r;
-          incr i
-        end
+      else if r.r_hit_nodes && r.r_budget = remaining then begin
+        (* Ran with the exact remaining budget and exhausted it: the
+           sequential search runs out of nodes inside this very
+           subtree, finding the same incumbents on the way. *)
+        accept r;
+        out_of_budget := true;
+        stop := true
       end
-    done);
+      else if r.r_nodes > remaining || r.r_hit_nodes then
+        (* Speculated past the real budget (or was cut off below it):
+           re-run this one subtree with the exact remaining budget.
+           The next iteration consumes it via one of the cases above. *)
+        results.(!i) <-
+          Some
+            (run_task (state_of 0) ~base_lb ~base_ub tasks.(!i)
+               ~entry:!chain_m ~budget:remaining)
+      else begin
+        (* Admissible: byte-for-byte what the sequential search would
+           have done with this subtree. *)
+        accept r;
+        incr i
+      end
+    end
+  done;
   s.best_m <- !chain_m;
   s.best_x <- !chain_x;
   s.out_of_budget <- !out_of_budget;
@@ -901,13 +801,6 @@ let solve ?(params = default_params) ?warm ?pool ?cutter ?(cut_pool = [])
     match pool with Some p -> Pool.jobs p | None -> Int.max 1 params.jobs
   in
   let parallel = jobs > 1 in
-  let shared =
-    if parallel && not params.deterministic then
-      Some
-        { sh_best = Atomic.make infinity; sh_lock = Mutex.create ();
-          sh_x = None; sh_nodes = Atomic.make 0 }
-    else None
-  in
   let start = Unix.gettimeofday () in
   (* The cut pool never joins the LP, but its rows are globally valid,
      so node propagation may sweep them like any other row. *)
@@ -927,11 +820,11 @@ let solve ?(params = default_params) ?warm ?pool ?cutter ?(cut_pool = [])
       partner; is_integer; prop_rows;
       cutter; base_nrows;
       deadline = start +. params.time_limit;
-      shared; node_budget = params.node_limit; capture = None;
+      node_budget = params.node_limit; capture = None;
       ramp_limit = max_int;
       nodes = 0; lp_solves = 0;
       warm_hits = 0; cold_solves = 0; refactorizations = 0; pivots = 0;
-      shadow_pivots = 0; numerical_recoveries = 0;
+      numerical_recoveries = 0;
       cuts_added = 0; cuts_purged = 0; separation_time = 0.;
       best_m = infinity; best_x = None;
       out_of_budget = false; root_unbounded = false; bound_incomplete = false;
@@ -942,15 +835,14 @@ let solve ?(params = default_params) ?warm ?pool ?cutter ?(cut_pool = [])
   (match warm with
   | Some x
     when Array.length x = Model.num_vars model
-         && Model.integral ~tol:params.int_tol model x
+         && Model.integral ~tol:int_tol model x
          && Lp_problem.constraint_violation prob x <= 1e-5 ->
     let m =
       sense_mult
       *. (Lp_problem.objective_value prob x +. Model.objective_constant model)
     in
     s.best_m <- m;
-    s.best_x <- Some (Array.copy x);
-    (match shared with Some sh -> publish_shared sh x m | None -> ())
+    s.best_x <- Some (Array.copy x)
   | Some _ ->
     Log.warn (fun f -> f "warm start rejected (infeasible or non-integral)")
   | None -> ());
@@ -979,7 +871,6 @@ let solve ?(params = default_params) ?warm ?pool ?cutter ?(cut_pool = [])
       status; best; nodes = total.d_nodes; lp_solves = total.d_lp_solves;
       warm_hits = total.d_warm_hits; cold_solves = total.d_cold_solves;
       refactorizations = total.d_refactorizations; pivots = total.d_pivots;
-      shadow_pivots = total.d_shadow_pivots;
       numerical_recoveries = total.d_numerical_recoveries;
       cuts_added = total.d_cuts_added; cuts_purged = total.d_cuts_purged;
       separation_time = total.d_separation_time; tasks_lost;
@@ -1008,24 +899,13 @@ let solve ?(params = default_params) ?warm ?pool ?cutter ?(cut_pool = [])
       | Revised.Unbounded | Revised.Iteration_limit -> neg_infinity
       | Revised.Infeasible -> infinity
     in
-    if root_bound = infinity && s.best_x = None then begin
-      let w = work_of s in
-      {
-        status = Infeasible; best = None; nodes = 0; lp_solves = s.lp_solves;
-        warm_hits = s.warm_hits; cold_solves = s.cold_solves;
-        refactorizations = s.refactorizations; pivots = s.pivots;
-        shadow_pivots = s.shadow_pivots;
-        numerical_recoveries = s.numerical_recoveries;
-        cuts_added = s.cuts_added; cuts_purged = s.cuts_purged;
-        separation_time = s.separation_time; tasks_lost = 0;
-        root_bound = nan;
-        elapsed = Unix.gettimeofday () -. start;
-        per_domain = [| w |]; frontier_tasks = 0; waves = 0;
-      }
-    end
+    if root_bound = infinity && s.best_x = None then
+      (* Root LP infeasible and no warm start: the model has no integer
+         point.  The root is not counted as a node ([nodes] = 0, one LP
+         solve). *)
+      seq_finish ~root_bound:nan
     else begin
       s.nodes <- s.nodes + 1;
-      (match shared with Some sh -> Atomic.incr sh.sh_nodes | None -> ());
       expand s ~depth:0 ~trail:[] ~parent_basis:None ~parent_bound:neg_infinity
         root_result;
       s.capture <- None;
@@ -1034,7 +914,7 @@ let solve ?(params = default_params) ?warm ?pool ?cutter ?(cut_pool = [])
         (* Sequential run, or a ramp-up that exhausted the whole tree. *)
         seq_finish ~root_bound:(sense_mult *. root_bound)
       else
-        solve_frontier s ~pool ~jobs ~shared ~mk_search ~tasks
+        solve_frontier s ~pool ~jobs ~mk_search ~tasks
           ~finish:(fun ~per_domain ~waves ~tasks_lost ~total ->
             finish ~root_bound:(sense_mult *. root_bound) ~per_domain
               ~frontier:!n_tasks ~waves ~tasks_lost ~total)

@@ -25,15 +25,13 @@
       explored on a {!Fp_util.Pool} of domains, each with its own copy
       of the problem and its own simplex state.
 
-    The search is deterministic given the model and parameters: with the
-    default [deterministic = true] the parallel search replays the
-    sequential one exactly (same incumbent, same node count, independent
-    of domain scheduling), at the cost of re-exploring subtrees whose
-    speculative pruning bound turned out stale.  Setting
-    [deterministic = false] shares the incumbent through an atomic
-    instead — faster under heavy incumbent traffic, but the set of
-    pruned nodes (and, among equal-objective optima, the returned point)
-    then depends on timing.  See [docs/parallel.md].
+    The search is deterministic given the model and parameters: the
+    parallel search replays the sequential one exactly (same incumbent,
+    same node count, independent of domain scheduling), at the cost of
+    re-exploring subtrees whose speculative pruning bound turned out
+    stale.  See [docs/parallel.md].  A value within [1e-6] of an integer
+    counts as integral.  New incumbents are reported at [Logs] debug
+    level on the ["fp.milp"] source.
 
     Fault sites (for {!Fp_util.Fault}, exercised by the resilience
     tests): ["branch_bound.budget"] forces the budget check to report
@@ -75,30 +73,18 @@ type cutter = float array -> cut list
 type params = {
   node_limit : int;        (** maximum branch-and-bound nodes (default 200_000) *)
   time_limit : float;      (** seconds (default 120.) *)
-  int_tol : float;         (** integrality tolerance (default 1e-6) *)
   min_improvement : float; (** required objective improvement before a node
                                survives pruning; raising it trades quality
                                for speed (default 1e-7) *)
-  log : bool;              (** emit progress on [Logs] (default false) *)
   branch_rule : branch_rule;  (** default [Most_fractional] *)
   warm_lp : bool;
       (** warm-start child LPs from the parent basis (default [true]);
           [false] forces a cold solve at every node — used by the
           warm-start ablation bench *)
-  shadow_cold : bool;
-      (** additionally solve every node LP cold, discarding the answer
-          and accumulating its pivots in [shadow_pivots] (default
-          [false]).  Gives the warm-start ablation a matched-tree
-          comparison: both engines priced on the identical sequence of
-          subproblems, same floorplan by construction.  Roughly doubles
-          node cost; never use outside benchmarking. *)
   jobs : int;
       (** number of domains to search on (default [1], fully
           sequential).  Ignored when a [pool] is passed to {!solve} —
           the pool's size wins. *)
-  deterministic : bool;
-      (** replay the sequential search exactly (default [true]); see the
-          module header for the trade-off *)
   ramp_nodes : int;
       (** nodes explored sequentially before the frontier is handed to
           the pool (default [32]).  Larger values seed more, smaller
@@ -137,16 +123,15 @@ type domain_work = {
   d_cold_solves : int;
   d_refactorizations : int;
   d_pivots : int;
-  d_shadow_pivots : int;
   d_numerical_recoveries : int;
   d_cuts_added : int;
   d_cuts_purged : int;
   d_separation_time : float;
 }
-(** Per-domain slice of the search-effort counters.  In deterministic
-    mode this counts {e all} work a domain performed, including
-    speculation that was later discarded by the replay — the honest
-    parallel cost, not the sequential-equivalent cost. *)
+(** Per-domain slice of the search-effort counters.  This counts
+    {e all} work a domain performed, including speculation that was
+    later discarded by the replay — the honest parallel cost, not the
+    sequential-equivalent cost. *)
 
 type outcome = {
   status : status;
@@ -166,9 +151,6 @@ type outcome = {
       (** basis refactorizations across all node LPs *)
   pivots : int;
       (** total simplex pivots (primal + dual) across all node LPs *)
-  shadow_pivots : int;
-      (** pivots the cold engine spent on the same node sequence; [0]
-          unless [shadow_cold] was set *)
   numerical_recoveries : int;
       (** node LPs that needed a recovery path: a requested warm start
           that fell back to a cold solve (singular or stale basis), or

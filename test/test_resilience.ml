@@ -361,7 +361,14 @@ let test_config_digest_scope () =
   Alcotest.(check bool) "group size included" true
     (d small_cfg <> d { small_cfg with Augment.group_size = 2 });
   Alcotest.(check bool) "deadline included" true
-    (d small_cfg <> d { small_cfg with Augment.run_time_limit = Some 5. })
+    (d small_cfg <> d { small_cfg with Augment.run_time_limit = Some 5. });
+  (* Pinned digests: journals written by earlier builds must stay
+     resumable, so the digest of an unchanged config never moves. *)
+  Alcotest.(check string) "default config pinned"
+    "0b860fd8fcb48c078731f014b8cf5cec" (d Augment.default_config);
+  Alcotest.(check string) "tight config pinned"
+    "6e8c48969b07e105d05bea2d146a9e33"
+    (d { Augment.default_config with Augment.formulation = Formulation.Tight })
 
 let () =
   Alcotest.run "resilience"
