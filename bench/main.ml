@@ -895,7 +895,6 @@ let portfolio_bench () =
             ("time_s", Json.Float st.Solver.wall_time);
             ("work", Json.Int st.Solver.work);
             ("complete", Json.Bool st.Solver.complete);
-            ("ran", Json.Bool e.Portfolio.ran);
             ( "degradations",
               Json.List
                 (List.map

@@ -494,9 +494,11 @@ let plan_cmd =
         | `Project -> Fp_engine.Project.solver
       in
       (* Shared tail for every engine: metrics, degradations, renderings,
-         optional lint certification, exit via the degradation ladder. *)
-      let epilogue (st : Solver.stats) pl =
-        report_plan nl pl st.Solver.wall_time;
+         optional lint certification, exit via the degradation ladder.
+         [time] is the wall time of the whole command's solve: the
+         engine's own for a single engine, the race's for a portfolio. *)
+      let epilogue ~time (st : Solver.stats) pl =
+        report_plan nl pl time;
         report_engine_degradations st;
         Option.iter
           (fun path ->
@@ -521,9 +523,7 @@ let plan_cmd =
         let report = Portfolio.race ~engines ~scenario nl in
         List.iter
           (fun (e : Portfolio.entry) ->
-            if e.Portfolio.ran then
-              report_engine_stats e.Portfolio.outcome.Solver.stats
-            else Printf.printf "  %-8s : skipped\n" e.Portfolio.solver_name)
+            report_engine_stats e.Portfolio.outcome.Solver.stats)
           report.Portfolio.entries;
         (match report.Portfolio.winner with
         | None ->
@@ -533,7 +533,9 @@ let plan_cmd =
           Printf.printf "winner     : %s  (race %.2f s)\n"
             w.Portfolio.solver_name report.Portfolio.wall_time;
           (match w.Portfolio.outcome.Solver.plan with
-          | Some pl -> epilogue w.Portfolio.outcome.Solver.stats pl
+          | Some pl ->
+            epilogue ~time:report.Portfolio.wall_time
+              w.Portfolio.outcome.Solver.stats pl
           | None -> assert false (* a certified winner carries a plan *)))
       | (`Milp | `Sa | `Project) as e -> (
         let s = solver_of e in
@@ -543,7 +545,9 @@ let plan_cmd =
         | None ->
           Printf.eprintf "error: engine %s produced no plan\n" s.Solver.name;
           Degradation.exit_error
-        | Some pl -> epilogue outcome.Solver.stats pl))
+        | Some pl ->
+          epilogue ~time:outcome.Solver.stats.Solver.wall_time
+            outcome.Solver.stats pl))
   in
   let term =
     Term.(

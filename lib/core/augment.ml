@@ -146,14 +146,14 @@ let config_digest cfg =
   | Formulation.Min_height_plus_wire lambda -> p "obj:wire:%h;" lambda);
   (* Emitted only when non-default, so digests of basic-formulation
      configs match the ones journals recorded before the field existed.
-     The cut knobs shape the trajectory only in [Cuts] mode, so they are
+     The cut limits shape the trajectory only in [Cuts] mode, so they are
      digested only there. *)
   (match cfg.formulation with
   | Formulation.Basic -> ()
   | Formulation.Tight -> p "form:tight;"
   | Formulation.Cuts ->
-    p "form:cuts:%d:%d;" cfg.milp.Branch_bound.cut_rounds
-      cfg.milp.Branch_bound.cuts_per_round);
+    p "form:cuts:%d:%d;" Branch_bound.max_cut_rounds
+      Branch_bound.cuts_per_round);
   p "rot:%b;" cfg.allow_rotation;
   p "lin:%s;"
     (match cfg.linearization with
@@ -522,7 +522,7 @@ let evaluate cfg nl ~chip_width ~skyline ~placement ~pool ~mode group =
     e_degradations = List.rev !degradations;
   }
 
-let run ?(config = default_config) ?resume ?pool:shared_pool nl =
+let run ?(config = default_config) ?resume nl =
   let cfg = config in
   if Netlist.num_modules nl = 0 then
     invalid_arg "Augment.run: empty instance";
@@ -573,13 +573,8 @@ let run ?(config = default_config) ?resume ?pool:shared_pool nl =
           chip_width; steps_done; placement; remaining }
   in
   let with_pool k =
-    match shared_pool with
-    | Some _ ->
-      (* Caller-owned pool: use it for this run, never shut it down. *)
-      k shared_pool
-    | None ->
-      if cfg.jobs > 1 then Pool.with_pool ~jobs:cfg.jobs (fun p -> k (Some p))
-      else k None
+    if cfg.jobs > 1 then Pool.with_pool ~jobs:cfg.jobs (fun p -> k (Some p))
+    else k None
   in
   with_pool @@ fun pool ->
   let skyline = ref start_skyline in
@@ -589,18 +584,25 @@ let run ?(config = default_config) ?resume ?pool:shared_pool nl =
   let run_degr = ref [] in
   let remaining = ref start_groups in
   let interrupted = ref false in
+  (* Seconds left of the run deadline right now; never negative. *)
+  let deadline_left () =
+    match run_deadline with
+    | None -> infinity
+    | Some dl -> Float.max 0. (dl -. Unix.gettimeofday ())
+  in
   (* Escalation ladder for a retried step: multiply the node and time
      budgets, bounded so a pathological step cannot take the run down
      with it.  The time side additionally never exceeds what is left of
-     the run deadline. *)
-  let escalate base attempt ~deadline_left =
+     the run deadline when the attempt starts — not when the step
+     started, or a retry ladder would overspend the budget. *)
+  let escalate base attempt =
     let f = cfg.retry_escalation ** float_of_int attempt in
     let node_limit =
       let n = float_of_int base.Branch_bound.node_limit *. f in
       if Tol.gt n 10_000_000. then 10_000_000 else int_of_float n
     in
     let time_limit =
-      Float.min (base.Branch_bound.time_limit *. f) deadline_left
+      Float.min (base.Branch_bound.time_limit *. f) (deadline_left ())
     in
     { base with Branch_bound.node_limit; time_limit }
   in
@@ -756,12 +758,8 @@ let run ?(config = default_config) ?resume ?pool:shared_pool nl =
   (try
      while !remaining <> [] do
        let step_start = Unix.gettimeofday () in
-       let deadline_left =
-         match run_deadline with
-         | None -> infinity
-         | Some dl -> dl -. step_start
-       in
-       if Tol.leq deadline_left 0. then begin
+       let step_left = deadline_left () in
+       if Tol.leq step_left 0. then begin
          (* Run deadline expired: the remaining groups are committed
             from their warm packings, no MILP — the engine stays
             anytime and every commit is still overlap-free. *)
@@ -778,7 +776,7 @@ let run ?(config = default_config) ?resume ?pool:shared_pool nl =
          (* Apportion what is left of the run budget over the steps
             still to do, never exceeding the configured per-step cap. *)
          let steps_left = List.length !remaining in
-         let share = deadline_left /. float_of_int steps_left in
+         let share = step_left /. float_of_int steps_left in
          let base_milp =
            { cfg.milp with
              Branch_bound.time_limit =
@@ -790,7 +788,7 @@ let run ?(config = default_config) ?resume ?pool:shared_pool nl =
              propagate = cfg.formulation <> Formulation.Basic }
          in
          let rec attempt k =
-           let milp = escalate base_milp k ~deadline_left in
+           let milp = escalate base_milp k in
            let n_cand, extra_degr, best = attempt_candidates ~milp in
            let retry_degr =
              if k > 0 then [ Degradation.Retry_escalated k ] else []

@@ -166,8 +166,7 @@ type config = {
           with [candidates = 1] it parallelizes each step's MILP search
           (see {!Fp_milp.Branch_bound}); with [candidates > 1] it
           evaluates candidate groups concurrently, one per domain.  The
-          result is identical for every [jobs] value as long as
-          [milp.deterministic] is on (the default). *)
+          result is identical for every [jobs] value. *)
   candidates : int;
       (** candidate next groups evaluated per step (default [1]).  The
           first [candidates] groups of the remaining ordering are each
@@ -181,9 +180,11 @@ type config = {
       (** run-level wall-clock budget in seconds (default [None]).  The
           remaining budget is re-apportioned before every step —
           [share = time_left / steps_left] — and caps that step's MILP
-          time limit; once the budget is spent, remaining groups are
-          committed from their warm packings ([Deadline_truncated]).
-          The run {e always} finishes with a full feasible placement. *)
+          time limit; a retry's escalated time limit is capped by what
+          is left when the retry starts.  Once the budget is spent,
+          remaining groups are committed from their warm packings
+          ([Deadline_truncated]).  The run {e always} finishes with a
+          full feasible placement. *)
   max_retries : int;
       (** escalated re-attempts for a step whose MILP found no solution
           or whose candidates all failed (default [2]) *)
@@ -236,7 +237,6 @@ val config_digest : config -> string
 val run :
   ?config:config ->
   ?resume:Journal.t ->
-  ?pool:Fp_util.Pool.t ->
   Fp_netlist.Netlist.t ->
   result
 (** Run the full successive-augmentation floorplanner on an instance.
@@ -247,12 +247,6 @@ val run :
     same {!config_digest} and the same instance; the run continues from
     the journaled partial placement and remaining ordering, and the
     final floorplan is bit-identical to the uninterrupted run's.
-
-    [pool], when given, is used for the whole run instead of creating
-    one from [config.jobs], and is {e not} shut down on return — the
-    portfolio layer lends one pool to several engines.  The caller must
-    respect the pool's no-nesting rule: [run] must then be called from
-    the pool-owning domain, not from inside one of its tasks.
 
     @raise Invalid_argument on an instance with no modules, a chip
     width too small for some module, or a checkpoint/config/instance

@@ -4,7 +4,6 @@ module Topology = Fp_core.Topology
 module Refine = Fp_core.Refine
 module Outline = Fp_core.Outline
 module Degradation = Fp_core.Degradation
-module Abort = Fp_util.Abort
 
 (* Overlay the scenario knobs that are actually set; an all-default
    scenario leaves the config untouched, which is what keeps the engine
@@ -42,31 +41,11 @@ let overlay (ctx : Solver.context) (sc : Solver.scenario)
   | None -> cfg
   | Some path -> { cfg with Augment.checkpoint = Some path }
 
-(* Compose the caller's inspection hooks with an abort poll: after every
-   committed step (journal already written, so the run is resumable) a
-   signalled flag raises the engine's own cooperative interrupt. *)
-let with_abort_poll abort inspect =
-  let base =
-    match inspect with
-    | Some i -> i
-    | None ->
-      { Augment.on_model = (fun _ -> ()); on_step = (fun _ _ -> ()) }
-  in
-  Some
-    { Augment.on_model = base.Augment.on_model;
-      on_step =
-        (fun stat pl ->
-          base.Augment.on_step stat pl;
-          if Abort.is_set abort then raise Augment.Abort) }
-
 let make ?(config = Augment.default_config) ?resume ?(refine = false) () =
   let solve (ctx : Solver.context) (sc : Solver.scenario) nl =
     let t0 = Unix.gettimeofday () in
     let cfg = overlay ctx sc config in
-    let cfg =
-      { cfg with Augment.inspect = with_abort_poll ctx.Solver.abort cfg.Augment.inspect }
-    in
-    let res = Augment.run ~config:cfg ?resume ?pool:ctx.Solver.pool nl in
+    let res = Augment.run ~config:cfg ?resume nl in
     let pl =
       (* Same epilogue as the CLI's plan path: finishing passes expect a
          complete floorplan; an interrupted run reports its partial

@@ -12,9 +12,8 @@
     ([Augment.config.height_limit]); [wire_weight] switches the
     objective to [Min_height_plus_wire]; [time_budget] becomes the
     run-level deadline ([run_time_limit]); [checkpoint] is the journal
-    path.  The context's abort flag is polled after every committed
-    step (via an inspection hook raising {!Fp_core.Augment.Abort}), and
-    the context pool, when present, is lent to the whole run. *)
+    path.  The run creates its own worker pool from the config's
+    [jobs]. *)
 
 val make :
   ?config:Fp_core.Augment.config ->

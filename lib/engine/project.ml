@@ -10,7 +10,6 @@ module Warm_start = Fp_core.Warm_start
 module Formulation = Fp_core.Formulation
 module Degradation = Fp_core.Degradation
 module Rng = Fp_util.Rng
-module Abort = Fp_util.Abort
 
 (* Separation slack left between projected pairs: comfortably above the
    certifier's tolerance so a projected-feasible state never fails on a
@@ -183,20 +182,16 @@ let superiorize st ~alpha ~net_members ~wire_pull =
 (* One projection phase toward [height]: alternating superiorization /
    pairwise projections / box projection for up to [sweeps] rounds,
    stopping early when the state is projected-feasible or the
-   deadline/abort fires.  Returns (sweeps spent, truncated). *)
+   deadline passes.  Returns (sweeps spent, truncated). *)
 let project_phase rng st ~w_strip ~height ~sweeps ~alpha0 ~net_members
-    ~wire_pull ~abort ~deadline pairs =
+    ~wire_pull ~deadline pairs =
   let order = Array.copy pairs in
   let alpha = ref alpha0 in
   let k = ref 0 in
   let truncated = ref false in
   let stop = ref false in
   while (not !stop) && !k < sweeps do
-    if Abort.is_set abort then begin
-      truncated := true;
-      stop := true
-    end
-    else if
+    if
       match deadline with
       | Some dl -> Tol.gt (Unix.gettimeofday ()) dl
       | None -> false
@@ -344,7 +339,7 @@ let make ?(sweeps_per_height = 160) ?(max_heights = 40) ?(shrink = 0.97)
         let k, cut =
           project_phase ctx.Solver.rng st ~w_strip ~height
             ~sweeps:sweeps_per_height ~alpha0 ~net_members ~wire_pull
-            ~abort:ctx.Solver.abort ~deadline:ctx.Solver.deadline pairs
+            ~deadline:ctx.Solver.deadline pairs
         in
         sweeps_total := !sweeps_total + k;
         if cut then truncated := true;

@@ -15,7 +15,7 @@ let make ?(config = Anneal.default_config) () =
           | (Some _ as left), None -> left
           | Some left, Some l -> Some (Float.min left l)) }
     in
-    let pl, stats = Anneal.run ~config:cfg ~abort:ctx.Solver.abort nl in
+    let pl, stats = Anneal.run ~config:cfg nl in
     let degradations =
       if stats.Anneal.truncated then [ (0, Degradation.Deadline_truncated) ]
       else []

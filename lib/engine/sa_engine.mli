@@ -3,7 +3,7 @@
     Scenario mapping: [seed] replaces the annealer's seed, [outline] is
     passed through verbatim (the annealer realizes at bounded width and
     penalizes height excess for [Fixed] outlines), [wire_weight] sets
-    the HPWL term, and the context deadline/abort truncate the schedule
+    the HPWL term, and the context deadline truncates the schedule
     cooperatively — the best plan seen so far is returned with a
     [Deadline_truncated] degradation.  With a default scenario the
     engine is bit-identical to calling {!Fp_slicing.Anneal.run}

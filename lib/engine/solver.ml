@@ -24,16 +24,12 @@ let default_scenario =
 
 type context = {
   rng : Fp_util.Rng.t;
-  pool : Fp_util.Pool.t option;
-  abort : Fp_util.Abort.t;
   deadline : float option;
 }
 
-let of_scenario ?pool scenario =
+let of_scenario scenario =
   {
     rng = Fp_util.Rng.create scenario.seed;
-    pool;
-    abort = Fp_util.Abort.create ();
     deadline =
       Option.map (fun b -> Unix.gettimeofday () +. b) scenario.time_budget;
   }

@@ -14,13 +14,14 @@
     - the {!scenario} is {e what to solve} — seed, outline, wirelength
       weight, wall-clock budget, checkpoint path.  It is shared verbatim
       by every engine in a portfolio so they race on the same problem;
-    - the {!context} is {e how to run} — the RNG stream, an optional
-      shared {!Fp_util.Pool}, the cooperative {!Fp_util.Abort} flag and
-      the absolute deadline.  It is owned by the caller, so a racer can
-      hand each engine its own stream and signal all of them at once.
+    - the {!context} is {e how to run} — the RNG stream and the absolute
+      deadline.  It is owned by the caller, so a racer can hand each
+      engine its own stream and one shared deadline.
 
-    Engines must be deterministic for a fixed scenario + seed when no
-    deadline or abort fires; wall-clock truncation is inherently
+    Engines stop at their own safe points once the deadline passes and
+    return their best-so-far; there is no other way to stop an engine
+    early.  Engines must be deterministic for a fixed scenario + seed
+    when no deadline fires; wall-clock truncation is inherently
     timing-dependent and is reported through [stats] degradations
     instead of being hidden. *)
 
@@ -48,23 +49,15 @@ type context = {
   rng : Fp_util.Rng.t;
       (** the engine's private stream — callers derive one per engine
           with {!Fp_util.Rng.split} so racing engines never share *)
-  pool : Fp_util.Pool.t option;
-      (** shared worker pool, if the caller lends one.  An engine must
-          not shut it down, and must not use it from inside another
-          pool's task (no nesting) *)
-  abort : Fp_util.Abort.t;
-      (** cooperative cancellation; engines poll it at their safe
-          points and return their best-so-far when it is set *)
   deadline : float option;
       (** absolute [Unix.gettimeofday]-scale instant to stop by —
           already combined from the scenario's [time_budget] by
           {!of_scenario} *)
 }
 
-val of_scenario : ?pool:Fp_util.Pool.t -> scenario -> context
+val of_scenario : scenario -> context
 (** Fresh context for a standalone run: a new RNG from the scenario
-    seed, a new abort flag, and the deadline anchored at now +
-    [time_budget]. *)
+    seed and the deadline anchored at now + [time_budget]. *)
 
 type stats = {
   engine : string;       (** the solver's [name] *)

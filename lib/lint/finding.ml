@@ -13,13 +13,12 @@ type rule =
   | SA012
   | SA013
   | SA014
-  | SA015
   | SA016
   | SA017
 
 let all_rules =
   [ SA001; SA002; SA003; SA004; SA005; SA006; SA007; SA008; SA010; SA011;
-    SA012; SA013; SA014; SA015; SA016; SA017 ]
+    SA012; SA013; SA014; SA016; SA017 ]
 
 let rule_name = function
   | SA000 -> "SA000"
@@ -36,7 +35,6 @@ let rule_name = function
   | SA012 -> "SA012"
   | SA013 -> "SA013"
   | SA014 -> "SA014"
-  | SA015 -> "SA015"
   | SA016 -> "SA016"
   | SA017 -> "SA017"
 
@@ -56,7 +54,6 @@ let rule_of_string s =
   | "SA012" -> Some SA012
   | "SA013" -> Some SA013
   | "SA014" -> Some SA014
-  | "SA015" -> Some SA015
   | "SA016" -> Some SA016
   | "SA017" -> Some SA017
   | _ -> None
@@ -104,10 +101,6 @@ let rule_doc = function
      close, double close, a channel not closed on every path, a close an \
      exception can skip, or a journal checkpoint written without the \
      atomic tmp+rename path"
-  | SA015 ->
-    "commit-like sink (Journal.write, commit_*, update_incumbent) reached \
-     inside a pool task with no Abort.check/is_set poll on the path — \
-     aborted tasks must stop before publishing"
   | SA016 ->
     "RNG stream discipline: a parent Rng.t is sampled after split/split_n \
      derived children from it — the parent advanced, replay silently \
@@ -131,7 +124,6 @@ let rule_index = function
   | SA012 -> 12
   | SA013 -> 13
   | SA014 -> 14
-  | SA015 -> 15
   | SA016 -> 16
   | SA017 -> 17
 

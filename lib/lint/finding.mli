@@ -38,8 +38,6 @@ type rule =
   | SA014  (** channel/journal lifecycle typestate: write-after-close,
                double close, missing or exception-skippable close,
                checkpoint bypassing the atomic tmp+rename path *)
-  | SA015  (** commit-like sink inside a pool task not dominated by an
-               [Abort.check]/[Abort.is_set] poll *)
   | SA016  (** a parent [Rng.t] sampled after [split]/[split_n] derived
                children from it (silent replay divergence) *)
   | SA017  (** read-modify-write on an [Atomic.t] as separate

@@ -35,14 +35,13 @@ let applies rule ~role ~path =
   | SA010 -> role = Lib
   | SA011 -> true
   | SA012 -> true
-  (* Protocol violations (lifecycles, abort ordering, Atomic RMW) are
-     wrong wherever the resource lives — CLI and bench code leaks
-     channels and races atomics just as well as lib/ does.  The one
+  (* Protocol violations (lifecycles, Atomic RMW) are wrong wherever
+     the resource lives — CLI and bench code leaks channels and races
+     atomics just as well as lib/ does.  The one
      exemption mirrors SA002: rng.ml itself implements split, so the
      parent-advances property SA016 polices is its own definition. *)
   | SA013 -> true
   | SA014 -> true
-  | SA015 -> true
   | SA016 -> path <> "lib/util/rng.ml"
   | SA017 -> true
 

@@ -26,13 +26,8 @@
                                split --split--> split, split --sample-->
                                ERROR (the parent advanced; replay diverges).
 
-   Two protocols have bespoke walks in the same module:
+   One protocol has a bespoke walk in the same module:
 
-   - SA015 abort-before-commit: inside pool task closures, every
-     commit-like sink (Journal.write, [commit*], [update_incumbent])
-     must be dominated by an [Abort.check]/[Abort.is_set] poll;
-     interprocedural through per-function (polls-on-all-paths,
-     may-reach-sink-unpolled) summaries.
    - SA017 Atomic protocol: [Atomic.set a e] where [e] derives from
      [Atomic.get a] of the same atomic (directly or through a let
      binding) and no [compare_and_set] consumes the read — the
@@ -218,14 +213,6 @@ type action =
 
 type summaries = (string * int * int, action) Hashtbl.t
 (* keyed by (qname, dfa index, param index) *)
-
-(* SA015 per-function summary. *)
-type abort_sum = {
-  polls_all : bool;  (* every path through the body polls the abort flag *)
-  unpolled_sink : (string * string list) option;
-      (* a commit-like sink reachable with no poll before it: sink
-         name, witness chain *)
-}
 
 (* ------------------------------------------------------------------ *)
 (* The store: abstract state of tracked values                          *)
@@ -928,131 +915,6 @@ let action_equal a b =
   | _ -> false
 
 (* ------------------------------------------------------------------ *)
-(* SA015: abort-before-commit                                           *)
-(* ------------------------------------------------------------------ *)
-
-let sink_of ctx p =
-  List.find_map
-    (fun path ->
-      match last2 path with
-      | Some ("Journal", "write") -> Some "Journal.write"
-      | _ -> (
-        match List.rev path with
-        | fn :: _
-          when fn = "update_incumbent"
-               || (String.length fn >= 6 && String.sub fn 0 6 = "commit") ->
-          Some (String.concat "." path)
-        | _ -> None))
-    (call_paths ctx p)
-
-let is_poll ctx p =
-  List.exists
-    (fun path ->
-      match last2 path with
-      | Some ("Abort", ("check" | "is_set")) -> true
-      | _ -> false)
-    (call_paths ctx p)
-
-(* Walk a body threading the "abort polled" flag; [report] is called on
-   each sink reached while unpolled.  Returns whether every exit path
-   has polled. *)
-let abort_walk ctx asums ~local_fns ~report e0 =
-  let visited = Hashtbl.create 4 in
-  let rec go checked e =
-    match e.pexp_desc with
-    | Pexp_sequence (a, b) -> go (go checked a) b
-    | Pexp_let (_, vbs, body) ->
-      let c = List.fold_left (fun c vb -> go c vb.pvb_expr) checked vbs in
-      go c body
-    | Pexp_ifthenelse (c, a, b) ->
-      let c0 = go checked c in
-      let ca = go c0 a in
-      let cb = match b with Some b -> go c0 b | None -> c0 in
-      ca && cb
-    | Pexp_match (s, cases) | Pexp_try (s, cases) ->
-      (* Each branch resumes from the scrutinee's flag; the join is
-         polled iff every branch is (a poll in the scrutinee makes each
-         branch start — and therefore end — polled). *)
-      let c0 = go checked s in
-      List.fold_left
-        (fun acc c ->
-          let cg = match c.pc_guard with Some g -> go c0 g | None -> c0 in
-          go cg c.pc_rhs && acc)
-        (cases <> []) cases
-      || c0
-    | Pexp_fun (_, _, _, body) | Pexp_newtype (_, body) ->
-      ignore (go checked body);
-      checked
-    | Pexp_function cases ->
-      List.iter (fun c -> ignore (go checked c.pc_rhs)) cases;
-      checked
-    | Pexp_while (c, b) | Pexp_for (_, c, b, _, _) ->
-      let c0 = go checked c in
-      ignore (go c0 b);
-      c0
-    | Pexp_apply (f, args) -> (
-      let line = line_of e.pexp_loc in
-      let checked' =
-        List.fold_left (fun c (_, a) -> go c a) checked args
-      in
-      match ident_path f with
-      | Some p ->
-        if is_poll ctx p then true
-        else begin
-          (match sink_of ctx p with
-          | Some name when not checked' -> report line name [ name ]
-          | _ -> ());
-          (match p with
-          | [ g ] when List.mem_assoc g local_fns ->
-            if not (Hashtbl.mem visited g) then begin
-              Hashtbl.add visited g ();
-              ignore
-                (go_local checked' line g (List.assoc g local_fns))
-            end
-          | _ -> ());
-          match Callgraph.resolve ctx.cg ~file:ctx.file p with
-          | Some q -> (
-            match Hashtbl.find_opt asums q with
-            | Some s ->
-              (if not checked' then
-                 match s.unpolled_sink with
-                 | Some (name, chain) ->
-                   report line name ((q ^ ":" ^ string_of_int line) :: chain)
-                 | None -> ());
-              checked' || s.polls_all
-            | None -> checked')
-          | None -> checked'
-        end
-      | None -> checked')
-    | _ ->
-      List.fold_left (fun c e' -> go c e') checked (sub_exprs e)
-  and go_local checked _line _g ge = go checked ge in
-  go false e0
-
-let abort_summarize cg asums (d : Callgraph.def) =
-  let sink = ref None in
-  let ctx =
-    { cg; file = d.Callgraph.file; sums = Hashtbl.create 0;
-      emit = (fun _ _ _ -> ()); summary_mode = true;
-      errors = Hashtbl.create 0 }
-  in
-  let report _line name chain =
-    if !sink = None then sink := Some (name, chain)
-  in
-  let polls_all =
-    abort_walk ctx asums ~local_fns:[] ~report
-      (strip_params d.Callgraph.body)
-  in
-  { polls_all; unpolled_sink = !sink }
-
-let abort_sum_equal a b =
-  a.polls_all = b.polls_all
-  && (match (a.unpolled_sink, b.unpolled_sink) with
-     | None, None -> true
-     | Some (n, _), Some (n', _) -> n = n'
-     | _ -> false)
-
-(* ------------------------------------------------------------------ *)
 (* SA017: Atomic read-modify-write as separate get/set                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -1169,11 +1031,10 @@ let check_atomic_rmw ~emit (d : Callgraph.def) =
 (* Inference: the protocol-summary fixpoint                             *)
 (* ------------------------------------------------------------------ *)
 
-type t = { sums : summaries; asums : (string, abort_sum) Hashtbl.t }
+type t = summaries
 
 let infer cg =
   let sums : summaries = Hashtbl.create 64 in
-  let asums : (string, abort_sum) Hashtbl.t = Hashtbl.create 64 in
   let order = Callgraph.defs_order cg in
   let changed = ref true in
   let rounds = ref 0 in
@@ -1201,34 +1062,20 @@ let infer cg =
                     Hashtbl.replace sums key merged;
                     changed := true)
                 (summarize_def cg sums d di)
-          done;
-          let asum = abort_summarize cg asums d in
-          (match Hashtbl.find_opt asums q with
-          | Some old when abort_sum_equal old asum -> ()
-          | _ ->
-            Hashtbl.replace asums q asum;
-            changed := true))
+          done)
       order
   done;
-  { sums; asums }
+  sums
 
 let equal a b =
-  Hashtbl.length a.sums = Hashtbl.length b.sums
+  Hashtbl.length a = Hashtbl.length b
   && Hashtbl.fold
        (fun k v acc ->
          acc
-         && match Hashtbl.find_opt b.sums k with
+         && match Hashtbl.find_opt b k with
             | Some v' -> action_equal v v'
             | None -> false)
-       a.sums true
-  && Hashtbl.length a.asums = Hashtbl.length b.asums
-  && Hashtbl.fold
-       (fun k v acc ->
-         acc
-         && match Hashtbl.find_opt b.asums k with
-            | Some v' -> abort_sum_equal v v'
-            | None -> false)
-       a.asums true
+       a true
 
 (* ------------------------------------------------------------------ *)
 (* The check pass                                                       *)
@@ -1250,9 +1097,9 @@ let check ~cg ~t ~file =
   List.iter
     (fun (d : Callgraph.def) ->
       for di = 0 to n_dfas - 1 do
-        if relevant cg t.sums d di then begin
+        if relevant cg t d di then begin
           let ctx =
-            { cg; file; sums = t.sums; emit; summary_mode = false;
+            { cg; file; sums = t; emit; summary_mode = false;
               errors = Hashtbl.create 1 }
           in
           let env, store, _ids = bind_params ~summary_mode:false d di in
@@ -1262,65 +1109,6 @@ let check ~cg ~t ~file =
         end
       done;
       check_atomic_rmw ~emit d)
-    defs;
-  (* SA015: pool task closures. *)
-  let actx =
-    { cg; file; sums = t.sums; emit = (fun _ _ _ -> ());
-      summary_mode = true; errors = Hashtbl.create 1 }
-  in
-  List.iter
-    (fun (d : Callgraph.def) ->
-      let rec scan local_fns e =
-        match e.pexp_desc with
-        | Pexp_let (_, vbs, body) ->
-          let local_fns' =
-            List.fold_left
-              (fun acc vb ->
-                match pat_vars [] vb.pvb_pat with
-                | [ n ] when is_fun_literal vb.pvb_expr ->
-                  (n, vb.pvb_expr) :: acc
-                | _ -> acc)
-              local_fns vbs
-          in
-          List.iter (fun vb -> scan local_fns vb.pvb_expr) vbs;
-          scan local_fns' body
-        | Pexp_apply (f, args) ->
-          (match ident_path f with
-          | Some p when pool_fn p <> None ->
-            List.iter
-              (fun (_, a) ->
-                let task =
-                  if is_fun_literal a then Some a
-                  else
-                    match a.pexp_desc with
-                    | Pexp_ident { txt = Longident.Lident g; _ } ->
-                      List.assoc_opt g local_fns
-                    | _ -> None
-                in
-                match task with
-                | Some closure ->
-                  let report line name chain =
-                    emit line Finding.SA015
-                      (Printf.sprintf
-                         "commit-like sink %s reached inside a %s task \
-                          with no Abort.check/is_set poll before it (%s) \
-                          — an aborted task must stop before publishing; \
-                          poll the abort flag first or justify in the \
-                          baseline"
-                         name
-                         (Option.get (pool_fn p))
-                         (String.concat " -> " chain))
-                  in
-                  ignore
-                    (abort_walk actx t.asums ~local_fns ~report closure)
-                | None -> ())
-              args
-          | _ -> ());
-          scan local_fns f;
-          List.iter (fun (_, a) -> scan local_fns a) args
-        | _ -> List.iter (scan local_fns) (sub_exprs e)
-      in
-      scan [] d.Callgraph.body)
     defs;
   (* SA014 journal discipline: checkpoints are written via tmp+rename. *)
   if Filename.basename file = "journal.ml" then
@@ -1392,7 +1180,7 @@ let report cg t =
           let dfa = dfas.(di) in
           let params = ref [] in
           for j = List.length d.Callgraph.params - 1 downto 0 do
-            match Hashtbl.find_opt t.sums (q, di, j) with
+            match Hashtbl.find_opt t (q, di, j) with
             | None -> ()
             | Some Esc ->
               params := Printf.sprintf "param %d: esc" j :: !params
@@ -1419,11 +1207,6 @@ let report cg t =
                 (String.concat "; " !params)
               :: !parts
         done;
-        (match Hashtbl.find_opt t.asums q with
-        | Some { polls_all = true; _ } -> parts := "polls-abort" :: !parts
-        | Some { unpolled_sink = Some (name, _); _ } ->
-          parts := Printf.sprintf "sink:%s" name :: !parts
-        | _ -> ());
         if !parts <> [] then
           Buffer.add_string buf
             (Printf.sprintf "- %s: %s\n" q (String.concat "  " !parts))

@@ -1,4 +1,4 @@
-(** Typestate / protocol abstract interpretation (rules SA013–SA017).
+(** Typestate / protocol abstract interpretation (rules SA013, SA014, SA016, SA017).
 
     Protocols are small DFAs — a state set, events keyed on
     module-qualified calls, error transitions — and a flow-sensitive,
@@ -12,10 +12,9 @@
     exit states, reachable errors, or "escapes").
 
     Shipped protocols: SA013 pool lifecycle, SA014 channel/journal
-    lifecycle (plus the journal-only atomic tmp+rename check), SA015
-    abort-before-commit inside pool tasks, SA016 RNG stream discipline
-    after [split]/[split_n], SA017 Atomic read-modify-write as separate
-    [get]/[set].  Findings carry DFA-trace witnesses (the event
+    lifecycle (plus the journal-only atomic tmp+rename check), SA016
+    RNG stream discipline after [split]/[split_n], SA017 Atomic
+    read-modify-write as separate [get]/[set].  Findings carry DFA-trace witnesses (the event
     sequence reaching the error, each with its line), rendered like the
     {!Effects} witness chains.  DFA tables and the precision envelope
     live in docs/static-analysis.md ("Typestate protocols"). *)

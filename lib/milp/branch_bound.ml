@@ -36,8 +36,6 @@ type params = {
   warm_lp : bool;
   jobs : int;
   ramp_nodes : int;
-  cut_rounds : int;
-  cuts_per_round : int;
   propagate : bool;
 }
 
@@ -50,10 +48,11 @@ let default_params =
     warm_lp = true;
     jobs = 1;
     ramp_nodes = 32;
-    cut_rounds = 4;
-    cuts_per_round = 16;
     propagate = false;
   }
+
+let max_cut_rounds = 4
+let cuts_per_round = 16
 
 (* Integrality tolerance: a value this close to an integer counts as
    integral. *)
@@ -271,13 +270,13 @@ let cut_rounds s x m basis =
   | None -> Some (x, m, basis)
   | Some separate ->
     let rec loop x m basis round =
-      if round >= s.prm.cut_rounds then Some (x, m, basis)
+      if round >= max_cut_rounds then Some (x, m, basis)
       else begin
         let t0 = Unix.gettimeofday () in
         let violated = separate x in
         s.separation_time <-
           s.separation_time +. (Unix.gettimeofday () -. t0);
-        match take s.prm.cuts_per_round violated with
+        match take cuts_per_round violated with
         | [] -> Some (x, m, basis)
         | cuts ->
           let before = Lp_problem.num_constrs s.prob in

@@ -66,9 +66,15 @@ type cutter = float array -> cut list
 (** Separation callback: given the node's LP-relaxation point (structural
     variables, dense), return violated valid inequalities, most violated
     first.  Must be deterministic — a pure function of the point — or
-    parallel runs lose bit-identical replay.  Called up to [cut_rounds]
-    times per node; the solver appends at most [cuts_per_round] of the
-    returned rows per round. *)
+    parallel runs lose bit-identical replay.  Called up to
+    {!max_cut_rounds} times per node; the solver appends at most
+    {!cuts_per_round} of the returned rows per round. *)
+
+val max_cut_rounds : int
+(** Separation rounds per node: [4]. *)
+
+val cuts_per_round : int
+(** Cap on rows appended per separation round: [16]. *)
 
 type params = {
   node_limit : int;        (** maximum branch-and-bound nodes (default 200_000) *)
@@ -89,11 +95,6 @@ type params = {
       (** nodes explored sequentially before the frontier is handed to
           the pool (default [32]).  Larger values seed more, smaller
           tasks; only meaningful when [jobs > 1]. *)
-  cut_rounds : int;
-      (** maximum separation rounds per node (default [4]).  Irrelevant
-          unless a [cutter] is passed to {!solve}. *)
-  cuts_per_round : int;
-      (** cap on rows appended per separation round (default [16]) *)
   propagate : bool;
       (** run {!Fp_lp.Lp_problem.propagate_bounds} (interval propagation
           with integer snapping) at every node before its LP (default
@@ -192,9 +193,9 @@ val solve :
     must never corrupt the search).
 
     [cutter], when given, runs a cut-management loop at every node that
-    survives the bound prune: up to [cut_rounds] rounds of separation
-    against the relaxation point, each appending at most
-    [cuts_per_round] violated rows and re-solving warm from the current
+    survives the bound prune: up to {!max_cut_rounds} rounds of
+    separation against the relaxation point, each appending at most
+    {!cuts_per_round} violated rows and re-solving warm from the current
     basis (see {!Fp_lp.Revised.extend_snapshot}); rows left slack at the
     final point are purged again before branching (cut aging), and the
     survivors are inherited — and eventually truncated — under strict

@@ -91,7 +91,7 @@ let neighbour rng expr =
 
 exception Truncated
 
-let run ?(config = default_config) ?abort nl =
+let run ?(config = default_config) nl =
   let n = Netlist.num_modules nl in
   if n = 0 then invalid_arg "Anneal.run: empty instance";
   let t0 = Unix.gettimeofday () in
@@ -126,18 +126,14 @@ let run ?(config = default_config) ?abort nl =
   in
   let temp = ref temp in
   let moves = config.moves_per_stage * Int.max 4 n / 4 in
-  (* Truncation checks consume no randomness, so runs without a deadline
-     or abort signal walk exactly the same RNG stream as before the
-     knobs existed. *)
+  (* Deadline checks consume no randomness, so runs without a deadline
+     walk exactly the same RNG stream as before the knob existed. *)
   (try
      for _stage = 1 to config.stages do
        (match deadline with
        | Some dl when Tol.gt (Unix.gettimeofday ()) dl -> truncate ()
        | Some _ | None -> ());
        for _ = 1 to moves do
-         (match abort with
-         | Some a when Fp_util.Abort.is_set a -> truncate ()
-         | Some _ | None -> ());
          incr iterations;
          match neighbour rng !expr with
          | None -> ()

@@ -37,21 +37,17 @@ type stats = {
   initial_cost : float;
   elapsed : float;
   truncated : bool;
-      (** the run stopped early on its [time_limit] or an [?abort]
-          signal; the returned plan is the best seen, not the schedule's
-          endpoint *)
+      (** the run stopped early on its [time_limit]; the returned plan
+          is the best seen, not the schedule's endpoint *)
 }
 
 val run :
   ?config:config ->
-  ?abort:Fp_util.Abort.t ->
   Fp_netlist.Netlist.t ->
   Fp_core.Placement.t * stats
 (** Floorplan an instance.  The returned placement uses the realized
     chip width as [chip_width] and is always valid (slicing floorplans
-    cannot overlap).  [abort], polled every move, stops the run
-    cooperatively and returns the best plan so far (the portfolio racer
-    signals it when another engine wins).  Deadline/abort checks consume
-    no randomness: for a fixed seed without truncation the result is
-    bit-identical across [time_limit]/[abort] settings.
+    cannot overlap).  Deadline checks consume no randomness: for a
+    fixed seed without truncation the result is bit-identical across
+    [time_limit] settings.
     @raise Invalid_argument on an empty instance. *)

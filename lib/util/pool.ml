@@ -62,10 +62,8 @@ end
    exceptions still see a pool-level worker failure as distinct. *)
 let site_worker_exn = Fault.register "pool.worker_exn"
 
-type batch = {
-  deques : (worker:int -> unit) Deque.t array;
-  abort : Abort.t option;  (* skip not-yet-started tasks once signalled *)
-}
+(* One deque per worker; a batch is fully seeded before it is published. *)
+type batch = (worker:int -> unit) Deque.t array
 
 type t = {
   n_jobs : int;
@@ -84,23 +82,19 @@ let jobs t = t.n_jobs
 
 (* Drain the batch from worker [w]'s point of view: own deque first, then
    steal round-robin.  Returns when a full scan finds every deque empty —
-   final because tasks never add work.  When the batch carries an abort
-   flag, tasks that have not started by the time it is signalled are
-   popped and dropped unexecuted (the deques still must empty so the
-   batch terminates); tasks already running observe the flag
-   themselves.  [first], when given, is a task already taken off the
-   deques, run before the others. *)
-let drain ?first t b w =
-  let j = Array.length b.deques in
+   final because tasks never add work.  [first], when given, is a task
+   already taken off the deques, run before the others. *)
+let drain ?first t deques w =
+  let j = Array.length deques in
   let rec next_task scanned i =
     if scanned >= j then None
     else
-      match Deque.steal b.deques.((w + i) mod j) with
+      match Deque.steal deques.((w + i) mod j) with
       | Some _ as task -> task
       | None -> next_task (scanned + 1) (i + 1)
   in
   let take () =
-    match Deque.pop b.deques.(w) with
+    match Deque.pop deques.(w) with
     | Some _ as task -> task
     | None -> next_task 1 1
   in
@@ -108,15 +102,11 @@ let drain ?first t b w =
     match task with
     | None -> ()
     | Some f ->
-      let skip =
-        match b.abort with Some a -> Abort.is_set a | None -> false
-      in
-      if not skip then
-        (try f ~worker:w with
-        | exn ->
-          Mutex.lock t.mutex;
-          if t.pending_exn = None then t.pending_exn <- Some exn;
-          Mutex.unlock t.mutex);
+      (try f ~worker:w with
+      | exn ->
+        Mutex.lock t.mutex;
+        if t.pending_exn = None then t.pending_exn <- Some exn;
+        Mutex.unlock t.mutex);
       go (take ())
   in
   go (match first with Some _ -> first | None -> take ())
@@ -135,9 +125,9 @@ let worker_loop t w () =
     end
     else begin
       my_epoch := t.epoch;
-      let b = Option.get t.batch in
+      let deques = Option.get t.batch in
       Mutex.unlock t.mutex;
-      drain t b w;
+      drain t deques w;
       Mutex.lock t.mutex;
       t.active <- t.active - 1;
       if t.active = 0 then Condition.broadcast t.done_cv;
@@ -158,18 +148,13 @@ let create ~jobs =
   t.domains <- Array.init (n_jobs - 1) (fun i -> Domain.spawn (worker_loop t (i + 1)));
   t
 
-let run ?abort t ~n f =
+let run t ~n f =
   if t.closed then invalid_arg "Pool.run: pool is shut down";
   if n > 0 then begin
     if t.n_jobs = 1 then
       for i = 0 to n - 1 do
-        let skip =
-          match abort with Some a -> Abort.is_set a | None -> false
-        in
-        if not skip then begin
-          Fault.trip site_worker_exn;
-          f ~worker:0 i
-        end
+        Fault.trip site_worker_exn;
+        f ~worker:0 i
       done
     else begin
       (* Deal tasks round-robin; deque j holds indices j, j + jobs, ... *)
@@ -180,18 +165,17 @@ let run ?abort t ~n f =
             Fault.trip site_worker_exn;
             f ~worker i)
       done;
-      let b = { deques; abort } in
       (* The caller takes its first task before the workers are woken,
          so it always executes at least one task of the batch. *)
       let first = Deque.pop deques.(0) in
       Mutex.lock t.mutex;
-      t.batch <- Some b;
+      t.batch <- Some deques;
       t.pending_exn <- None;
       t.epoch <- t.epoch + 1;
       t.active <- t.n_jobs - 1;
       Condition.broadcast t.work_cv;
       Mutex.unlock t.mutex;
-      drain ?first t b 0;
+      drain ?first t deques 0;
       Mutex.lock t.mutex;
       while t.active > 0 do
         Condition.wait t.done_cv t.mutex

@@ -18,8 +18,7 @@
     spawns only [jobs - 1] new domains and [jobs = 1] spawns none
     (everything runs inline, no synchronization).  Worker [0] takes its
     first task of a batch before the other workers are woken, so it runs
-    at least one task of every non-empty batch (unless [abort] skips
-    it).
+    at least one task of every non-empty batch.
 
     Memory model: the batch handshake is mutex-protected, so writes a
     task makes before finishing happen-before the reads the caller makes
@@ -37,20 +36,13 @@ val create : jobs:int -> t
 val jobs : t -> int
 (** Number of workers, including the calling domain. *)
 
-val run : ?abort:Abort.t -> t -> n:int -> (worker:int -> int -> unit) -> unit
+val run : t -> n:int -> (worker:int -> int -> unit) -> unit
 (** [run t ~n f] executes [f ~worker i] for every [i] in [0, n),
     distributing tasks over all workers; [worker] is the index (in
     [0, jobs)) of the domain that actually executes the task, for
     per-domain scratch state.  Blocks until every task has finished.  If
     tasks raise, one of the exceptions is re-raised in the caller after
     the batch has drained (the rest are dropped).
-
-    When [abort] is given, tasks that have not started by the time the
-    flag is signalled are skipped (the batch still drains and [run]
-    still returns normally); tasks already running are responsible for
-    observing the flag at their own safe points.  Skipping is a
-    best-effort fast-path for cancellation — determinism guarantees
-    only hold for batches that run to completion unsignalled.
 
     Must be called from the domain that created the pool, and never
     reentrantly. *)

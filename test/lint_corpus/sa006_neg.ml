@@ -3,7 +3,7 @@
 (* Abort passes through; everything else is deliberately contained. *)
 let guard f =
   try f () with
-  | Fp_util.Pool.Abort as e -> raise e
+  | Fp_core.Augment.Abort as e -> raise e
   | exn ->
     ignore exn;
     None

@@ -227,18 +227,6 @@ let test_portfolio_picks_lowest_objective () =
              <= e.Portfolio.outcome.Solver.stats.Solver.objective +. 1e-9))
       r.Portfolio.entries
 
-let test_portfolio_first_certified () =
-  let nl = gen ~n:8 ~seed:5 in
-  let r =
-    Portfolio.race ~policy:Portfolio.First_certified ~engines:(engines ())
-      ~scenario:(scenario 7) nl
-  in
-  match r.Portfolio.winner with
-  | None -> Alcotest.fail "no winner"
-  | Some w ->
-    Alcotest.(check bool) "certified" true
-      w.Portfolio.outcome.Solver.stats.Solver.certified
-
 let test_portfolio_survives_engine_failure () =
   let boom =
     { Solver.name = "boom";
@@ -312,8 +300,6 @@ let () =
             test_portfolio_deterministic_across_jobs;
           Alcotest.test_case "picks lowest objective" `Quick
             test_portfolio_picks_lowest_objective;
-          Alcotest.test_case "first certified" `Quick
-            test_portfolio_first_certified;
           Alcotest.test_case "survives engine failure" `Quick
             test_portfolio_survives_engine_failure;
           Alcotest.test_case "rejects empty" `Quick test_portfolio_rejects_empty;

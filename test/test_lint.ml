@@ -118,13 +118,6 @@ let test_sa014_pos () =
   some_msg_contains "output_string:13" fs;
   some_msg_contains "Sa014_pos.finish" fs
 
-let test_sa015_pos () =
-  let fs = lint "sa015_pos.ml" in
-  check_rules "only SA015" [ "SA015" ] fs;
-  Alcotest.(check int) "journal sink + commit-named sink" 2 (List.length fs);
-  some_msg_contains "commit_result" fs;
-  some_msg_contains "Abort.check" fs
-
 let test_sa016_pos () =
   let fs = lint "sa016_pos.ml" in
   check_rules "only SA016" [ "SA016" ] fs;
@@ -520,8 +513,6 @@ let () =
             test_sa011_pos;
           Alcotest.test_case "SA013 pool lifecycle" `Quick test_sa013_pos;
           Alcotest.test_case "SA014 channel lifecycle" `Quick test_sa014_pos;
-          Alcotest.test_case "SA015 unpolled commit sinks" `Quick
-            test_sa015_pos;
           Alcotest.test_case "SA016 sample-after-split" `Quick test_sa016_pos;
           Alcotest.test_case "SA017 atomic get/set RMW" `Quick test_sa017_pos;
           Alcotest.test_case "SA012 escaping mutable captures" `Quick
@@ -545,7 +536,6 @@ let () =
           Alcotest.test_case "with_pool and protected teardown" `Quick
             (neg "sa013_neg.ml");
           Alcotest.test_case "protected channels" `Quick (neg "sa014_neg.ml");
-          Alcotest.test_case "polled commit sinks" `Quick (neg "sa015_neg.ml");
           Alcotest.test_case "sample-before-split" `Quick (neg "sa016_neg.ml");
           Alcotest.test_case "CAS and fetch_and_add" `Quick
             (neg "sa017_neg.ml");

@@ -170,6 +170,23 @@ let test_deadline_truncation () =
          List.mem Degradation.Deadline_truncated s.Augment.degradations)
        res.Augment.steps)
 
+(* A run deadline is a contract: a budgeted ami33 run at the default
+   config ends within the budget plus a stated slack.  The slack covers
+   the work that runs past the deadline by design: the B&B node in
+   flight when the step's time limit passes, the warm-only commits of
+   the groups left once the budget is spent, and a loaded machine. *)
+let test_deadline_honoured () =
+  let budget = 3. and slack = 1. in
+  let res =
+    Augment.run
+      ~config:{ Augment.default_config with Augment.run_time_limit = Some budget }
+      (Fp_data.Ami33.netlist ())
+  in
+  Alcotest.(check bool) "valid placement" true (valid res);
+  if res.Augment.total_time > budget +. slack then
+    Alcotest.failf "run took %.2f s on a %.0f s budget (slack %.0f s)"
+      res.Augment.total_time budget slack
+
 (* LP-level faults (stalled simplex, singular warm LU) surface as
    numerical-recovery notes, not as failures. *)
 let test_numerical_recovery_notes () =
@@ -395,6 +412,7 @@ let () =
           Alcotest.test_case "retry escalation" `Quick test_retry_escalation;
           Alcotest.test_case "deadline truncation" `Quick
             test_deadline_truncation;
+          Alcotest.test_case "deadline honoured" `Slow test_deadline_honoured;
           Alcotest.test_case "numerical recovery notes" `Quick
             test_numerical_recovery_notes;
           Alcotest.test_case "hook containment" `Quick test_hook_containment;
