@@ -1,6 +1,6 @@
 module Model = Fp_milp.Model
 module Lp_problem = Fp_lp.Lp_problem
-module Simplex = Fp_lp.Simplex
+module Revised = Fp_lp.Revised
 module D = Diagnostic
 
 type context = {
@@ -276,8 +276,8 @@ let duplicate_checks rows =
    relaxed).  The LP optimum is a valid upper bound on what the big-M
    must absorb, and — unlike interval arithmetic — it sees correlations
    such as [x_i + w_i <= W], so correctly sized constants are not
-   flagged. *)
-let lp_sup m ~skip_row ~pinned ~lbt ~ubt terms =
+   flagged.  Solved by the revised simplex in the caller's [ws]. *)
+let lp_sup ws m ~skip_row ~pinned ~lbt ~ubt terms =
   let prob = Model.problem m in
   let lp = Lp_problem.create ~name:"bigm_probe" () in
   let n = Model.num_vars m in
@@ -298,11 +298,12 @@ let lp_sup m ~skip_row ~pinned ~lbt ~ubt terms =
     (Lp_problem.constraints prob);
   Lp_problem.set_sense lp Lp_problem.Maximize;
   List.iter (fun (c, v) -> Lp_problem.set_obj_coeff lp v c) terms;
-  Simplex.solve lp
+  fst (Revised.solve_ws ws lp)
 
 let bigm_checks ctx m ~is_slack ~pair_of rows lbt ubt =
   let acc = ref [] in
   let emit d = acc := d :: !acc in
+  let ws = Revised.workspace () in
   (* Rows whose switches all belong to one declared disjunction pair are
      judged per pair, not per row: every direction of a Choice4 pair is
      collected here and the pair is flagged once — and only when {e all}
@@ -384,11 +385,11 @@ let bigm_checks ctx m ~is_slack ~pair_of rows lbt ubt =
                         (fun (c, v) -> if c < 0. then Some (v, 1.) else None)
                         slack_terms
                     in
-                    match lp_sup m ~skip_row:ri ~pinned ~lbt ~ubt terms with
-                    | Simplex.Optimal { obj; _ } -> Some (`Sup obj)
-                    | Simplex.Infeasible -> Some `Unreachable
-                    | Simplex.Unbounded -> Some (`Sup infinity)
-                    | Simplex.Iteration_limit -> None
+                    match lp_sup ws m ~skip_row:ri ~pinned ~lbt ~ubt terms with
+                    | Revised.Optimal { obj; _ } -> Some (`Sup obj)
+                    | Revised.Infeasible -> Some `Unreachable
+                    | Revised.Unbounded -> Some (`Sup infinity)
+                    | Revised.Iteration_limit -> None
                 in
                 match refined with
                 | Some `Unreachable -> () (* deactivation never arises *)

@@ -16,7 +16,9 @@
     re-examined with an exact LP — maximize the row's left-hand side over
     the rest of the model with the row's slack binaries pinned to their
     deactivating values — so correlated variables (e.g. [x_i + w_i <= W]
-    elsewhere in the model) do not produce false positives.
+    elsewhere in the model) do not produce false positives.  The LP
+    probes are solved by {!Fp_lp.Revised}, one workspace per {!model}
+    call.
 
     Diagnostic codes are catalogued with triggering examples in
     [docs/analysis.md]. *)

@@ -27,14 +27,26 @@ type mat = {
 (** A sparse matrix in compressed-column (CSC) form. *)
 
 type scratch
-(** Elimination matrix, solve temporary and eta file, grown on demand
-    to the largest row count seen. *)
+(** Elimination rows and column patterns, solve temporary and eta file,
+    grown on demand to the largest factorization seen: memory for the
+    basis nonzeros and their fill-in, no [m x m] matrix. *)
 
 val scratch : unit -> scratch
 
-type factor
+type factor = private {
+  fbasis : int array;  (** the factored basis (a copy) *)
+  perm : int array;
+      (** row [i] of the factored matrix is row [perm.(i)] of the basis
+          matrix *)
+  udiag : float array;  (** the pivots (the diagonal of [U]), in order *)
+  l_idx : int array array;  (** column [j] of strict [L]: its rows, ascending *)
+  l_val : float array array;
+  u_idx : int array array;  (** row [i] of strict [U]: its columns, ascending *)
+  u_val : float array array;
+}
 (** [P B = L U] for one basis: strict [L] stored column by column and
-    strict [U] row by row, exact zeros dropped, [U]'s diagonal apart. *)
+    strict [U] row by row, exact zeros dropped, [U]'s diagonal apart.
+    Read-only: nothing may write into its arrays. *)
 
 type t
 
@@ -46,15 +58,10 @@ val refactor_every : int
 
 val factorize : scratch -> mat -> int array -> (factor, [ `Singular ]) result
 (** [factorize sc mat basis] factorizes the matrix whose [j]-th column is
-    column [basis.(j)] of [mat]: in column [k], the first row of largest
-    magnitude becomes the pivot.  The basis array is copied. *)
-
-val permutation : factor -> int array
-(** Row [i] of the factored matrix is row [(permutation f).(i)] of the
-    basis matrix. *)
-
-val pivots : factor -> float array
-(** The pivots (the diagonal of [U]), in elimination order. *)
+    column [basis.(j)] of [mat] (each row at most once per column): in
+    column [k], the first row of largest magnitude, by current position,
+    becomes the pivot.  A sparse elimination, bit-identical to the dense
+    one that swaps whole rows.  The basis array is copied. *)
 
 val of_factor : scratch -> mat -> factor -> t
 (** A fresh solve state on an existing factor (empty eta file).  The

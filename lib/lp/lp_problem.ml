@@ -10,46 +10,77 @@ type constr = {
   rhs : float;
 }
 
-type vinfo = {
-  vname : string;
-  mutable lb : float;
-  mutable ub : float;
-  mutable obj : float;
+(* The rows [propagate_bounds] sweeps, flattened: row [r] (the problem
+   rows, then the [~extra] rows) owns the directions [r_dir.(r) ..
+   r_dir.(r + 1) - 1], one for a [Le] or [Ge] row and two for an [Eq]
+   row, each a [sum coef x <= rhs] over the entries [d_start.(d) ..
+   d_start.(d + 1) - 1], with [Ge] and the second [Eq] direction
+   negated.  Built from the row records in [key] and rebuilt when a call
+   sees other records, as the revised simplex's workspace is.  [touch]
+   marks the variables a call has recorded for undo, by call stamp. *)
+type layout = {
+  key : constr array;
+  r_dir : int array;
+  d_start : int array;
+  d_rhs : float array;
+  e_var : int array;
+  e_coef : float array;
+  touch : int array;
+  mutable stamp : int;
 }
 
+let no_layout () =
+  { key = [||]; r_dir = [| 0 |]; d_start = [| 0 |]; d_rhs = [||];
+    e_var = [||]; e_coef = [||]; touch = [||]; stamp = 0 }
+
+(* Bounds and costs live in float arrays, so writing one never boxes. *)
 type t = {
   pname : string;
-  mutable vars : vinfo array;
+  mutable names : string array;
+  mutable lb : float array;
+  mutable ub : float array;
+  mutable obj : float array;
   mutable nvars : int;
   mutable rows : constr array;
   mutable nrows : int;
   mutable psense : sense;
+  mutable layout : layout;
 }
 
 let create ?(name = "lp") () =
-  { pname = name; vars = [||]; nvars = 0; rows = [||]; nrows = 0;
-    psense = Minimize }
+  { pname = name; names = [||]; lb = [||]; ub = [||]; obj = [||];
+    nvars = 0; rows = [||]; nrows = 0; psense = Minimize;
+    layout = no_layout () }
 
 let name t = t.pname
 
-(* Rows are immutable records, so sharing them is safe; vinfo records are
-   mutable and must be duplicated. *)
+(* Rows are immutable records, so sharing them is safe; the arrays are
+   written in place and must be duplicated, and the propagation layout's
+   marks belong to one problem. *)
 let copy t =
   {
     t with
-    vars = Array.map (fun vi -> { vi with vname = vi.vname }) t.vars;
+    names = Array.copy t.names;
+    lb = Array.copy t.lb;
+    ub = Array.copy t.ub;
+    obj = Array.copy t.obj;
     rows = Array.copy t.rows;
+    layout = no_layout ();
   }
 
 let grow_vars t =
-  let cap = Array.length t.vars in
+  let cap = Array.length t.lb in
   if t.nvars >= cap then begin
-    let bigger =
-      Array.make (Int.max 8 (2 * cap))
-        { vname = ""; lb = 0.; ub = 0.; obj = 0. }
+    let size = Int.max 8 (2 * cap) in
+    let grow a x =
+      let bigger = Array.make size x in
+      Array.blit a 0 bigger 0 t.nvars;
+      bigger
     in
-    Array.blit t.vars 0 bigger 0 t.nvars;
-    t.vars <- bigger
+    t.names <- grow t.names "";
+    t.lb <- grow t.lb 0.;
+    t.ub <- grow t.ub 0.;
+    t.obj <- grow t.obj 0.
   end
 
 let grow_rows t =
@@ -68,8 +99,12 @@ let add_var t ?(lb = 0.) ?(ub = infinity) ?(obj = 0.) vname =
     invalid_arg
       (Printf.sprintf "Lp_problem.add_var %s: ub (%g) < lb (%g)" vname ub lb);
   grow_vars t;
-  t.vars.(t.nvars) <- { vname; lb; ub; obj };
-  t.nvars <- t.nvars + 1;
+  let v = t.nvars in
+  t.names.(v) <- vname;
+  t.lb.(v) <- lb;
+  t.ub.(v) <- ub;
+  t.obj.(v) <- obj;
+  t.nvars <- v + 1;
   t.nvars - 1
 
 let check_var t v fn =
@@ -139,7 +174,7 @@ let remove_constrs t idxs =
 
 let set_obj_coeff t v c =
   check_var t v "set_obj_coeff";
-  t.vars.(v).obj <- c
+  t.obj.(v) <- c
 
 let set_sense t s = t.psense <- s
 
@@ -148,19 +183,66 @@ let set_bounds t v ~lb ~ub =
   if ub < lb then
     invalid_arg
       (Printf.sprintf "Lp_problem.set_bounds %d: ub (%g) < lb (%g)" v ub lb);
-  t.vars.(v).lb <- lb;
-  t.vars.(v).ub <- ub
+  t.lb.(v) <- lb;
+  t.ub.(v) <- ub
 
 let tighten_bounds t v ~lb ~ub =
   check_var t v "tighten_bounds";
-  let vi = t.vars.(v) in
-  let nlb = Float.max vi.lb lb and nub = Float.min vi.ub ub in
+  let nlb = Float.max t.lb.(v) lb and nub = Float.min t.ub.(v) ub in
   if nub < nlb then false
   else begin
-    vi.lb <- nlb;
-    vi.ub <- nub;
+    t.lb.(v) <- nlb;
+    t.ub.(v) <- nub;
     true
   end
+
+let layout_current l t extra =
+  let nr = t.nrows in
+  Array.length l.key = nr + Array.length extra
+  && Array.length l.touch >= t.nvars
+  &&
+  let same = ref true and i = ref 0 in
+  while !same && !i < Array.length l.key do
+    same :=
+      l.key.(!i) == (if !i < nr then t.rows.(!i) else extra.(!i - nr));
+    incr i
+  done;
+  !same
+
+let build_layout t extra =
+  let key = Array.append (Array.sub t.rows 0 t.nrows) extra in
+  let dirs row = match row.cmp with Eq -> 2 | Le | Ge -> 1 in
+  let nd = Array.fold_left (fun a row -> a + dirs row) 0 key in
+  let ne =
+    Array.fold_left (fun a row -> a + (dirs row * List.length row.terms)) 0 key
+  in
+  let r_dir = Array.make (Array.length key + 1) 0 in
+  let d_start = Array.make (nd + 1) 0 and d_rhs = Array.make nd 0. in
+  let e_var = Array.make ne 0 and e_coef = Array.make ne 0. in
+  let d = ref 0 and e = ref 0 in
+  let direction sign row =
+    d_rhs.(!d) <- (if sign then row.rhs else -.row.rhs);
+    List.iter
+      (fun (a, v) ->
+        e_var.(!e) <- v;
+        e_coef.(!e) <- (if sign then a else -.a);
+        incr e)
+      row.terms;
+    incr d;
+    d_start.(!d) <- !e
+  in
+  Array.iteri
+    (fun r row ->
+      (match row.cmp with
+      | Le -> direction true row
+      | Ge -> direction false row
+      | Eq ->
+        direction true row;
+        direction false row);
+      r_dir.(r + 1) <- !d)
+    key;
+  { key; r_dir; d_start; d_rhs; e_var; e_coef;
+    touch = Array.make t.nvars 0; stamp = 0 }
 
 (* Row-driven interval propagation (feasibility-based bound tightening,
    the classic MIP presolve reduction).  For a row [sum a_i x_i <= b],
@@ -176,96 +258,90 @@ let tighten_bounds t v ~lb ~ub =
    variables to the enclosed integer range — on 0-1 variables that
    turns interval reasoning into implication propagation (a binary
    whose lower bound rises above 0 is fixed to 1), which is where most
-   of the search-tree pruning comes from. *)
+   of the search-tree pruning comes from.  The sweep runs over the
+   flat layout with the bounds in place and no closure in its loops, so
+   a call allocates only its undo list. *)
 let propagate_bounds ?(max_sweeps = 16) ?(integral = fun _ -> false)
     ?(extra = [||]) t =
-  let changed = ref [] in
+  if not (layout_current t.layout t extra) then
+    t.layout <- build_layout t extra;
+  let l = t.layout in
+  let r_dir = l.r_dir and d_start = l.d_start and d_rhs = l.d_rhs in
+  let e_var = l.e_var and e_coef = l.e_coef and touch = l.touch in
+  let lb = t.lb and ub = t.ub in
+  l.stamp <- l.stamp + 1;
+  let stamp = l.stamp in
   (* First-touch undo record per variable, so callers can restore. *)
-  let touched = Hashtbl.create 16 in
-  let infeasible = ref false in
-  let note v =
-    if not (Hashtbl.mem touched v) then begin
-      Hashtbl.add touched v ();
-      changed := (v, t.vars.(v).lb, t.vars.(v).ub) :: !changed
-    end
-  in
+  let changed = ref [] in
   (* Improvements below this are noise: applying them would churn the
      fixpoint loop without helping the LP. *)
   let min_gain = 1e-7 in
-  let progress = ref true in
-  let apply_lb v nlb =
-    let vi = t.vars.(v) in
-    let nlb = if integral v then Float.round (Float.ceil (nlb -. 1e-6)) else nlb in
-    if nlb > vi.lb +. min_gain then begin
-      note v;
-      vi.lb <- nlb;
-      progress := true;
-      if nlb > vi.ub +. 1e-6 then infeasible := true
-    end
-  in
-  let apply_ub v nub =
-    let vi = t.vars.(v) in
-    let nub = if integral v then Float.round (Float.floor (nub +. 1e-6)) else nub in
-    if nub < vi.ub -. min_gain then begin
-      note v;
-      vi.ub <- nub;
-      progress := true;
-      if vi.lb > nub +. 1e-6 then infeasible := true
-    end
-  in
-  (* One direction: [sum terms <= b]. *)
-  let forward terms b =
-    (* Interval minimum of the row, tracking how many contributions are
-       infinite so a single unbounded term still lets the others
-       propagate (inf - inf has no meaning; counting does). *)
-    let finite_sum = ref 0. and n_inf = ref 0 in
-    List.iter
-      (fun (a, v) ->
-        let m = if a > 0. then a *. t.vars.(v).lb else a *. t.vars.(v).ub in
-        if Float.is_finite m then finite_sum := !finite_sum +. m
-        else incr n_inf)
-      terms;
-    List.iter
-      (fun (a, v) ->
-        if a <> 0. then begin
-          let own = if a > 0. then a *. t.vars.(v).lb else a *. t.vars.(v).ub in
-          let rest =
-            if !n_inf = 0 then Some (!finite_sum -. own)
-            else if !n_inf = 1 && not (Float.is_finite own) then
-              Some !finite_sum
-            else None
-          in
-          match rest with
-          | None -> ()
-          | Some rest ->
-            let limit = (b -. rest) /. a in
-            if a > 0. then apply_ub v limit else apply_lb v limit
-        end)
-      terms
-  in
-  let sweep_row row =
-    match row.cmp with
-    | Le -> forward row.terms row.rhs
-    | Ge -> forward (List.map (fun (a, v) -> (-.a, v)) row.terms) (-.row.rhs)
-    | Eq ->
-      forward row.terms row.rhs;
-      forward (List.map (fun (a, v) -> (-.a, v)) row.terms) (-.row.rhs)
-  in
-  let sweeps = ref 0 in
-  while !progress && not !infeasible && !sweeps < max_sweeps do
+  let infeasible = ref false and progress = ref true and sweeps = ref 0 in
+  let nrows = Array.length r_dir - 1 in
+  while !progress && (not !infeasible) && !sweeps < max_sweeps do
     progress := false;
     incr sweeps;
+    (* [extra] rows join the sweep after the problem's but are not part
+       of the problem: the MILP layer passes its lazy cut pool here, so
+       propagation sees the full strengthened formulation while the LP
+       stays small. *)
     let r = ref 0 in
-    while not !infeasible && !r < t.nrows do
-      sweep_row t.rows.(!r);
-      incr r
-    done;
-    (* [extra] rows join the sweep but not the problem: the MILP layer
-       passes its lazy cut pool here, so propagation sees the full
-       strengthened formulation while the LP stays small. *)
-    let r = ref 0 in
-    while not !infeasible && !r < Array.length extra do
-      sweep_row extra.(!r);
+    while (not !infeasible) && !r < nrows do
+      for d = r_dir.(!r) to r_dir.(!r + 1) - 1 do
+        let first = d_start.(d) and last = d_start.(d + 1) - 1 in
+        let b = d_rhs.(d) in
+        (* Interval minimum of the direction, counting the infinite
+           contributions so a single unbounded term still lets the
+           others propagate (inf - inf has no meaning; counting does). *)
+        let finite_sum = ref 0. and n_inf = ref 0 in
+        for e = first to last do
+          let a = e_coef.(e) and v = e_var.(e) in
+          let m = if a > 0. then a *. lb.(v) else a *. ub.(v) in
+          if Float.is_finite m then finite_sum := !finite_sum +. m
+          else incr n_inf
+        done;
+        for e = first to last do
+          let a = e_coef.(e) in
+          if a <> 0. then begin
+            let v = e_var.(e) in
+            let own = if a > 0. then a *. lb.(v) else a *. ub.(v) in
+            if !n_inf = 0 || (!n_inf = 1 && not (Float.is_finite own)) then begin
+              let rest = if !n_inf = 0 then !finite_sum -. own else !finite_sum in
+              let limit = (b -. rest) /. a in
+              if a > 0. then begin
+                let nub =
+                  if integral v then Float.round (Float.floor (limit +. 1e-6))
+                  else limit
+                in
+                if nub < ub.(v) -. min_gain then begin
+                  if touch.(v) <> stamp then begin
+                    touch.(v) <- stamp;
+                    changed := (v, lb.(v), ub.(v)) :: !changed
+                  end;
+                  ub.(v) <- nub;
+                  progress := true;
+                  if lb.(v) > nub +. 1e-6 then infeasible := true
+                end
+              end
+              else begin
+                let nlb =
+                  if integral v then Float.round (Float.ceil (limit -. 1e-6))
+                  else limit
+                in
+                if nlb > lb.(v) +. min_gain then begin
+                  if touch.(v) <> stamp then begin
+                    touch.(v) <- stamp;
+                    changed := (v, lb.(v), ub.(v)) :: !changed
+                  end;
+                  lb.(v) <- nlb;
+                  progress := true;
+                  if nlb > ub.(v) +. 1e-6 then infeasible := true
+                end
+              end
+            end
+          end
+        done
+      done;
       incr r
     done
   done;
@@ -277,14 +353,14 @@ let propagate_bounds ?(max_sweeps = 16) ?(integral = fun _ -> false)
 let objective_interval t =
   let lo = ref 0. and hi = ref 0. in
   for v = 0 to t.nvars - 1 do
-    let vi = t.vars.(v) in
-    if vi.obj > 0. then begin
-      lo := !lo +. (vi.obj *. vi.lb);
-      hi := !hi +. (vi.obj *. vi.ub)
+    let c = t.obj.(v) in
+    if c > 0. then begin
+      lo := !lo +. (c *. t.lb.(v));
+      hi := !hi +. (c *. t.ub.(v))
     end
-    else if vi.obj < 0. then begin
-      lo := !lo +. (vi.obj *. vi.ub);
-      hi := !hi +. (vi.obj *. vi.lb)
+    else if c < 0. then begin
+      lo := !lo +. (c *. t.ub.(v));
+      hi := !hi +. (c *. t.lb.(v))
     end
   done;
   (!lo, !hi)
@@ -292,17 +368,17 @@ let objective_interval t =
 let num_vars t = t.nvars
 let num_constrs t = t.nrows
 
-let var_name t v = check_var t v "var_name"; t.vars.(v).vname
-let var_lb t v = check_var t v "var_lb"; t.vars.(v).lb
-let var_ub t v = check_var t v "var_ub"; t.vars.(v).ub
-let obj_coeff t v = check_var t v "obj_coeff"; t.vars.(v).obj
+let var_name t v = check_var t v "var_name"; t.names.(v)
+let var_lb t v = check_var t v "var_lb"; t.lb.(v)
+let var_ub t v = check_var t v "var_ub"; t.ub.(v)
+let obj_coeff t v = check_var t v "obj_coeff"; t.obj.(v)
 let sense t = t.psense
 let constraints t = Array.sub t.rows 0 t.nrows
 
 let objective_value t x =
   let acc = ref 0. in
   for v = 0 to t.nvars - 1 do
-    acc := !acc +. (t.vars.(v).obj *. x.(v))
+    acc := !acc +. (t.obj.(v) *. x.(v))
   done;
   !acc
 
@@ -310,8 +386,8 @@ let constraint_violation t x =
   let worst = ref 0. in
   let note v = if v > !worst then worst := v in
   for v = 0 to t.nvars - 1 do
-    note (t.vars.(v).lb -. x.(v));
-    note (x.(v) -. t.vars.(v).ub)
+    note (t.lb.(v) -. x.(v));
+    note (x.(v) -. t.ub.(v))
   done;
   for i = 0 to t.nrows - 1 do
     let row = t.rows.(i) in

@@ -7,8 +7,8 @@
 
     Variables are identified by the integer handle returned from
     {!add_var}; handles are dense and index directly into the solution
-    vector.  The builder is consumed by {!Simplex.solve} and written out by
-    {!Lp_io.to_lp_format}. *)
+    vector.  A problem is consumed by {!Revised} and {!Simplex} and
+    written out by {!Lp_io.to_lp_format}. *)
 
 type var = int
 
@@ -106,7 +106,15 @@ val propagate_bounds :
     tagged [`Infeasible] when some interval emptied (beyond tolerance),
     in which case no feasible point existed under the entry bounds.
     Bounds are left in their tightened (possibly crossed) state either
-    way; restoring is the caller's choice. *)
+    way; restoring is the caller's choice.
+
+    The problem keeps the rows flattened between calls (the negated
+    directions of [Ge] and [Eq] rows included), keyed on the physical
+    row records of the problem and of [extra]: appending, truncating,
+    removing or rewriting rows, or passing other [extra] rows, rebuilds
+    it on the next call.  A call then allocates only its undo list.
+    {!copy} starts without one, so copies can propagate on different
+    domains. *)
 
 val objective_interval : t -> float * float
 (** Interval of the objective function over the current bound box —

@@ -211,12 +211,15 @@ type state = {
   rhs : float array;
 }
 
+(* [nb_value] and [col_dot] are inlined at every call, so the floats
+   they return stay unboxed in the pivot loops. *)
 let nb_value st ~lo ~up j =
   match st.stat.(j) with
   | VLower -> lo.(j)
   | VUpper -> up.(j)
   | VFree -> 0.
   | VBasic -> assert false
+[@@inline]
 
 (* Basic values from scratch: x_B = B^-1 (b - N x_N). *)
 let compute_xb st ~lo ~up =
@@ -252,6 +255,7 @@ let col_dot (mat : Basis.mat) y j =
     acc := !acc +. (mat.Basis.coef.(p) *. y.(mat.Basis.row_idx.(p)))
   done;
   !acc
+[@@inline]
 
 (* d <- column [j] of the standardized matrix, dense. *)
 let load_col (mat : Basis.mat) d j =
@@ -746,6 +750,8 @@ let snapshot_of st =
     sbasis = Array.copy (Basis.basis st.bas);
     sstat = Array.copy st.stat;
   }
+
+let snapshot_basis snap = Array.copy snap.sbasis
 
 (* Appending k rows to the problem appends k logical columns
    [nstruct + sm .. nstruct + sm + k - 1].  Making them basic keeps the

@@ -41,6 +41,11 @@ type stats = {
           [false] on a cold solve or after a fallback. *)
 }
 
+val snapshot_basis : snapshot -> int array
+(** The snapshot's basis (a copy): entry [i] is the column basic in row
+    position [i], where columns are the structural variables followed by
+    one logical per row.  For inspecting the bases a search meets. *)
+
 val extend_snapshot : snapshot -> added:int -> snapshot
 (** Adapt a snapshot to a problem that gained [added] appended rows
     (e.g. cutting planes): the new rows' logicals enter the basis, which

@@ -91,18 +91,15 @@ let standardize prob =
       | Lp_problem.Eq -> ())
     rows;
   let n_before_art = !ncols in
-  (* Assemble the dense row data (structural + slack) and adjusted rhs. *)
-  let dense = Array.make_matrix m n_before_art 0. in
+  (* The adjusted rhs, normalized to be >= 0; a flipped row is negated
+     below. *)
   let rhs = Array.make m 0. in
+  let flipped = Array.make m false in
   Array.iteri
     (fun i row ->
       let shift = ref 0. in
       List.iter
         (fun (c, v) ->
-          List.iter
-            (fun (col, sign) ->
-              dense.(i).(col) <- dense.(i).(col) +. (c *. sign))
-            col_of_var.(v);
           (* Shift / mirror constants move to the rhs. *)
           let lb = Lp_problem.var_lb prob v
           and ub = Lp_problem.var_ub prob v in
@@ -110,34 +107,47 @@ let standardize prob =
           else if ub < infinity then shift := !shift +. (c *. ub))
         row.Lp_problem.terms;
       rhs.(i) <- row.Lp_problem.rhs -. !shift;
-      (match row.Lp_problem.cmp with
-      | Lp_problem.Le -> dense.(i).(slack_cols.(i)) <- 1.
-      | Lp_problem.Ge -> dense.(i).(slack_cols.(i)) <- -1.
-      | Lp_problem.Eq -> ());
-      (* Normalize rhs >= 0. *)
       if rhs.(i) < 0. then begin
         rhs.(i) <- -.rhs.(i);
-        for j = 0 to n_before_art - 1 do
-          dense.(i).(j) <- -.dense.(i).(j)
-        done
+        flipped.(i) <- true
       end)
     rows;
-  (* Decide initial basis per row: the slack if its coefficient is +1,
-     otherwise a fresh artificial. *)
-  let needs_artificial = Array.make m false in
-  Array.iteri
-    (fun i _ ->
-      let s = slack_cols.(i) in
-      if s >= 0 && dense.(i).(s) > 0.5 then ()
-      else needs_artificial.(i) <- true)
-    rows;
+  (* Decide initial basis per row: the slack if its coefficient ends up
+     +1 (a [Le] row kept, a [Ge] row flipped), otherwise a fresh
+     artificial. *)
+  let needs_artificial =
+    Array.mapi
+      (fun i row ->
+        match row.Lp_problem.cmp with
+        | Lp_problem.Le -> flipped.(i)
+        | Lp_problem.Ge -> not flipped.(i)
+        | Lp_problem.Eq -> true)
+      rows
+  in
   let n_art = Array.fold_left (fun a b -> if b then a + 1 else a) 0
       needs_artificial in
   let n = n_before_art + n_art in
+  (* The tableau rows (structural + slack, artificials after), built in
+     place: the one m x n matrix is the solver's largest allocation. *)
   let a = Array.make_matrix m n 0. in
-  for i = 0 to m - 1 do
-    Array.blit dense.(i) 0 a.(i) 0 n_before_art
-  done;
+  Array.iteri
+    (fun i row ->
+      let ai = a.(i) in
+      List.iter
+        (fun (c, v) ->
+          List.iter
+            (fun (col, sign) -> ai.(col) <- ai.(col) +. (c *. sign))
+            col_of_var.(v))
+        row.Lp_problem.terms;
+      (match row.Lp_problem.cmp with
+      | Lp_problem.Le -> ai.(slack_cols.(i)) <- 1.
+      | Lp_problem.Ge -> ai.(slack_cols.(i)) <- -1.
+      | Lp_problem.Eq -> ());
+      if flipped.(i) then
+        for j = 0 to n_before_art - 1 do
+          ai.(j) <- -.ai.(j)
+        done)
+    rows;
   let basis = Array.make m (-1) in
   let next_art = ref n_before_art in
   for i = 0 to m - 1 do

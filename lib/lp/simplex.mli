@@ -16,7 +16,11 @@
       of degenerate pivots, which guarantees termination.
 
     The solver is deterministic: the same problem always takes the same
-    pivot sequence. *)
+    pivot sequence.
+
+    Callers: {!Fp_core.Topology} (the paper's known-topology LP, section
+    2.5) and one bechamel micro-benchmark.  The branch-and-bound and the
+    formulation lint's big-M probes run on {!Revised}. *)
 
 type result =
   | Optimal of { x : float array; obj : float }

@@ -241,6 +241,58 @@ let test_ami33_models_lint_clean () =
   Alcotest.(check (list string)) "no error findings on ami33" []
     (List.map Diag.to_line !errors)
 
+(* Golden findings: [Lint.formulation] on every committed step model
+   of a small [tight] plan (K=10, generator seed 7, 200 nodes per step),
+   each step's [Diagnostic.to_line] output sorted.  The big-M analysis
+   sends 50 interval-suspicious rows of these models to the exact LP
+   refinement, so a change in what the LP probes conclude shows up as a
+   changed, added or missing line. *)
+let tight_plan_lint_lines =
+  [
+      [
+        "ML005|info|row c0|vacuous: satisfied by every point within the variable bounds (lhs range [0, 29.7596] vs rhs 29.7596)";
+        "ML010|info|model|5 binaries are not covered by any declare_pair (2-way instead of 4-way branching): z_m07, z_m08, s_i0_i1, s_i1_i2, ...";
+      ];
+      [
+        "ML010|info|model|2 binaries are not covered by any declare_pair (2-way instead of 4-way branching): z_m03, z_m00";
+      ];
+      [
+        "ML005|info|row c0|vacuous: satisfied by every point within the variable bounds (lhs range [35, 45.7596] vs rhs 45.7596)";
+        "ML005|info|row c10|vacuous: satisfied by every point within the variable bounds (lhs range [30.9427, 36] vs rhs 36)";
+        "ML005|info|row c11|vacuous: satisfied by every point within the variable bounds (lhs range [-59.8245, -54.7672] vs rhs -54.7672)";
+        "ML005|info|row c12|vacuous: satisfied by every point within the variable bounds (lhs range [-34.7596, -24] vs rhs -24)";
+        "ML005|info|row c13|vacuous: satisfied by every point within the variable bounds (lhs range [43.7672, 43.8245] vs rhs 43.8245)";
+        "ML005|info|row c2|vacuous: satisfied by every point within the variable bounds (lhs range [0, 43.7596] vs rhs 43.7596)";
+        "ML005|info|row c8|vacuous: satisfied by every point within the variable bounds (lhs range [19.9427, 20] vs rhs 20)";
+        "ML005|info|row c9|vacuous: satisfied by every point within the variable bounds (lhs range [-54.8245, -54.7672] vs rhs -54.7672)";
+      ];
+  ]
+
+let test_tight_plan_lint_golden () =
+  let nl =
+    Generator.generate
+      { Generator.default_config with
+        Generator.num_modules = 10; total_area = 349. *. 10.; seed = 7 }
+  in
+  let steps = ref [] in
+  let inspect =
+    { Augment.on_model =
+        (fun built ->
+          let lines = List.map Diag.to_line (Lint.formulation built) in
+          steps := List.sort String.compare lines :: !steps);
+      on_step = (fun _ _ -> ()) }
+  in
+  let d = Augment.default_config in
+  let config =
+    { d with
+      Augment.formulation = Formulation.Tight;
+      inspect = Some inspect;
+      milp = { d.Augment.milp with BB.node_limit = 200; time_limit = 1e9 } }
+  in
+  ignore (Augment.run ~config nl);
+  Alcotest.(check (list (list string))) "sorted findings per step"
+    tight_plan_lint_lines (List.rev !steps)
+
 (* ----------------------------- certifier ----------------------------- *)
 
 let placed ?(rotated = false) id r =
@@ -511,6 +563,8 @@ let () =
             test_formulation_missing_fixed_sep;
           Alcotest.test_case "fixed outside strip" `Quick
             test_formulation_fixed_outside_strip;
+          Alcotest.test_case "tight plan findings (golden)" `Quick
+            test_tight_plan_lint_golden;
           Alcotest.test_case "check flag" `Quick
             test_build_check_flag_runs_self_check;
           Alcotest.test_case "ami33 models lint clean" `Slow

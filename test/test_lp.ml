@@ -366,6 +366,237 @@ let test_propagate_chains_rows () =
   | `Ok _ -> checkf "y ub chained" 3. (Lp.var_ub p y)
   | `Infeasible _ -> Alcotest.fail "unexpected infeasible")
 
+(* The list-based sweep [Lp_problem.propagate_bounds] ran before it
+   moved onto a flat row layout, kept as the reference: the same
+   arithmetic over the bounds in [lb] / [ub], with the problem's rows
+   then [extra], negated [Ge] and [Eq] directions built per call and a
+   hash table for the first-touch undo record. *)
+let reference_propagate ?(max_sweeps = 16) ?(integral = fun _ -> false)
+    ?(extra = [||]) rows lb ub =
+  let changed = ref [] in
+  let touched = Hashtbl.create 16 in
+  let infeasible = ref false in
+  let note v =
+    if not (Hashtbl.mem touched v) then begin
+      Hashtbl.add touched v ();
+      changed := (v, lb.(v), ub.(v)) :: !changed
+    end
+  in
+  let min_gain = 1e-7 in
+  let progress = ref true in
+  let apply_lb v nlb =
+    let nlb = if integral v then Float.round (Float.ceil (nlb -. 1e-6)) else nlb in
+    if nlb > lb.(v) +. min_gain then begin
+      note v;
+      lb.(v) <- nlb;
+      progress := true;
+      if nlb > ub.(v) +. 1e-6 then infeasible := true
+    end
+  in
+  let apply_ub v nub =
+    let nub = if integral v then Float.round (Float.floor (nub +. 1e-6)) else nub in
+    if nub < ub.(v) -. min_gain then begin
+      note v;
+      ub.(v) <- nub;
+      progress := true;
+      if lb.(v) > nub +. 1e-6 then infeasible := true
+    end
+  in
+  let forward terms b =
+    let finite_sum = ref 0. and n_inf = ref 0 in
+    List.iter
+      (fun (a, v) ->
+        let m = if a > 0. then a *. lb.(v) else a *. ub.(v) in
+        if Float.is_finite m then finite_sum := !finite_sum +. m
+        else incr n_inf)
+      terms;
+    List.iter
+      (fun (a, v) ->
+        if a <> 0. then begin
+          let own = if a > 0. then a *. lb.(v) else a *. ub.(v) in
+          let rest =
+            if !n_inf = 0 then Some (!finite_sum -. own)
+            else if !n_inf = 1 && not (Float.is_finite own) then
+              Some !finite_sum
+            else None
+          in
+          match rest with
+          | None -> ()
+          | Some rest ->
+            let limit = (b -. rest) /. a in
+            if a > 0. then apply_ub v limit else apply_lb v limit
+        end)
+      terms
+  in
+  let sweep_row (row : Lp.constr) =
+    let neg = List.map (fun (a, v) -> (-.a, v)) in
+    match row.Lp.cmp with
+    | Lp.Le -> forward row.Lp.terms row.Lp.rhs
+    | Lp.Ge -> forward (neg row.Lp.terms) (-.row.Lp.rhs)
+    | Lp.Eq ->
+      forward row.Lp.terms row.Lp.rhs;
+      forward (neg row.Lp.terms) (-.row.Lp.rhs)
+  in
+  let all = Array.append rows extra in
+  let sweeps = ref 0 in
+  while !progress && (not !infeasible) && !sweeps < max_sweeps do
+    progress := false;
+    incr sweeps;
+    let r = ref 0 in
+    while (not !infeasible) && !r < Array.length all do
+      sweep_row all.(!r);
+      incr r
+    done
+  done;
+  if !infeasible then `Infeasible !changed else `Ok !changed
+
+(* A random problem and a random run of edits between propagation
+   calls: appended, truncated and rewritten rows and a replaced [extra]
+   array all change the rows a call must sweep, so a stale cached layout
+   would show. *)
+type prop_op =
+  | Propagate of int  (* max_sweeps *)
+  | Append of Lp.constr
+  | Truncate of int
+  | Rewrite of int * Lp.constr
+  | Set_extra of Lp.constr array
+  | Reset_bounds
+
+type prop_case = {
+  p_bounds : (float * float) array;
+  p_integral : bool array;
+  p_rows : Lp.constr list;
+  p_ops : prop_op list;
+}
+
+let prop_case_gen =
+  QCheck.Gen.(
+    let* nv = int_range 1 7 in
+    let bound =
+      let* lo = oneofl [ neg_infinity; -3.; 0.; 0.; 1. ] in
+      let* span = int_range 0 10 in
+      let* open_up = int_bound 4 in
+      let hi =
+        if open_up = 0 then infinity
+        else (if lo = neg_infinity then 2. else lo) +. float_of_int span
+      in
+      return (lo, hi)
+    in
+    let row =
+      let* terms =
+        list_size (int_range 1 4)
+          (let* c = map (fun n -> float_of_int (n - 3)) (int_bound 6) in
+           let* v = int_bound (nv - 1) in
+           return (c, v))
+      in
+      let* cmp = frequency [ (4, return Lp.Le); (3, return Lp.Ge); (2, return Lp.Eq) ] in
+      let* rhs = map (fun n -> float_of_int (n - 4)) (int_bound 14) in
+      (* [terms] may name a variable twice; the problem sums such terms,
+         so rows built here are collapsed the same way below. *)
+      return { Lp.cname = "r"; terms; cmp; rhs }
+    in
+    let* p_bounds = array_repeat nv bound in
+    let* p_integral = array_repeat nv bool in
+    let* p_rows = list_size (int_range 0 6) row in
+    let op =
+      frequency
+        [ (5, map (fun s -> Propagate s) (int_range 1 16));
+          (2, map (fun r -> Append r) row);
+          (2, map (fun k -> Truncate k) (int_bound 8));
+          (1, map2 (fun i r -> Rewrite (i, r)) (int_bound 8) row);
+          (2, map (fun l -> Set_extra (Array.of_list l)) (list_size (int_bound 3) row));
+          (1, return Reset_bounds) ]
+    in
+    let* p_ops = list_size (int_range 1 12) op in
+    return { p_bounds; p_integral; p_rows; p_ops })
+
+let print_prop_case c =
+  let row (r : Lp.constr) =
+    Printf.sprintf "[%s] %s %g"
+      (String.concat " + "
+         (List.map (fun (a, v) -> Printf.sprintf "%g x%d" a v) r.Lp.terms))
+      (match r.Lp.cmp with Lp.Le -> "<=" | Lp.Ge -> ">=" | Lp.Eq -> "=")
+      r.Lp.rhs
+  in
+  Printf.sprintf "bounds %s integral %s rows %s ops %s"
+    (String.concat ","
+       (Array.to_list
+          (Array.map (fun (l, u) -> Printf.sprintf "[%g,%g]" l u) c.p_bounds)))
+    (String.concat ""
+       (Array.to_list (Array.map (fun b -> if b then "1" else "0") c.p_integral)))
+    (String.concat "; " (List.map row c.p_rows))
+    (String.concat "; "
+       (List.map
+          (function
+            | Propagate s -> Printf.sprintf "propagate(%d)" s
+            | Append r -> "append " ^ row r
+            | Truncate k -> Printf.sprintf "truncate %d" k
+            | Rewrite (i, r) -> Printf.sprintf "rewrite %d %s" i (row r)
+            | Set_extra e ->
+              "extra [" ^ String.concat "; " (Array.to_list (Array.map row e)) ^ "]"
+            | Reset_bounds -> "reset")
+          c.p_ops))
+
+let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let same_undo u1 u2 =
+  List.length u1 = List.length u2
+  && List.for_all2
+       (fun (v1, l1, h1) (v2, l2, h2) ->
+         v1 = v2 && same_float l1 l2 && same_float h1 h2)
+       u1 u2
+
+let test_propagate_matches_reference =
+  QCheck.Test.make
+    ~name:"propagate_bounds = list-based reference (result, undo, bounds)"
+    ~count:500
+    (QCheck.make ~print:print_prop_case prop_case_gen)
+    (fun c ->
+      let nv = Array.length c.p_bounds in
+      let p = Lp.create () in
+      Array.iteri
+        (fun i (lb, ub) -> ignore (Lp.add_var p ~lb ~ub (Printf.sprintf "x%d" i)))
+        c.p_bounds;
+      let add (r : Lp.constr) = Lp.add_constr p r.Lp.terms r.Lp.cmp r.Lp.rhs in
+      List.iter add c.p_rows;
+      let integral v = c.p_integral.(v) in
+      let extra = ref [||] in
+      let ok = ref true in
+      List.iter
+        (function
+          | Propagate max_sweeps ->
+            let lb = Array.init nv (Lp.var_lb p)
+            and ub = Array.init nv (Lp.var_ub p) in
+            let want =
+              reference_propagate ~max_sweeps ~integral ~extra:!extra
+                (Lp.constraints p) lb ub
+            in
+            let got = Lp.propagate_bounds ~max_sweeps ~integral ~extra:!extra p in
+            let same_result =
+              match (want, got) with
+              | `Ok u1, `Ok u2 | `Infeasible u1, `Infeasible u2 -> same_undo u1 u2
+              | _ -> false
+            in
+            let same_bounds =
+              List.for_all
+                (fun v ->
+                  same_float lb.(v) (Lp.var_lb p v)
+                  && same_float ub.(v) (Lp.var_ub p v))
+                (List.init nv Fun.id)
+            in
+            if not (same_result && same_bounds) then ok := false
+          | Append r -> add r
+          | Truncate k -> Lp.truncate_constrs p (k mod (Lp.num_constrs p + 1))
+          | Rewrite (i, r) ->
+            if Lp.num_constrs p > 0 then
+              Lp.update_constr p (i mod Lp.num_constrs p) r.Lp.terms r.Lp.cmp
+                r.Lp.rhs
+          | Set_extra e -> extra := e
+          | Reset_bounds ->
+            Array.iteri (fun v (lb, ub) -> Lp.set_bounds p v ~lb ~ub) c.p_bounds)
+        c.p_ops;
+      !ok)
+
 let test_objective_interval () =
   let p = Lp.create () in
   let x = Lp.add_var p ~lb:1. ~ub:2. ~obj:2. "x" in
@@ -398,6 +629,7 @@ let () =
           Alcotest.test_case "extra rows" `Quick test_propagate_extra_rows;
           Alcotest.test_case "chains rows" `Quick test_propagate_chains_rows;
           Alcotest.test_case "objective interval" `Quick test_objective_interval;
+          QCheck_alcotest.to_alcotest test_propagate_matches_reference;
         ] );
       ( "simplex",
         [

@@ -229,10 +229,52 @@ let sparse_rlp_gen =
     let* sense_max = bool in
     return { sense_max; bounds; obj; rows })
 
+(* Coefficients in {-1, 0, 1} only: nearly every pivot column holds
+   several entries of the same magnitude, so the first-max tie-break by
+   row position decides most pivots. *)
+let tie_rlp_gen =
+  QCheck.Gen.(
+    let* nv = int_range 2 10 in
+    let* rows =
+      list_size (int_range 2 14)
+        (let* coeffs =
+           array_repeat nv (oneofl [ 0.; 0.; 1.; -1. ])
+         in
+         let* cmp = oneofl [ Lp.Le; Lp.Ge ] in
+         return (coeffs, cmp, 1.))
+    in
+    return
+      { sense_max = false; bounds = Array.make nv (0., 1.);
+        obj = Array.make nv 1.; rows })
+
+(* An arrow: variable 0 in every row and row 0 over every variable, the
+   rest sparse, so eliminating the dense column fills the factors in. *)
+let fill_rlp_gen =
+  QCheck.Gen.(
+    let* nv = int_range 3 10 in
+    let nonzero = map (fun n -> float_of_int (if n < 4 then n - 4 else n - 3)) (int_bound 7) in
+    let* first = array_repeat nv nonzero in
+    let* rest =
+      list_size (int_range 2 13)
+        (let* c0 = nonzero in
+         let* tail =
+           array_repeat (nv - 1)
+             (frequency [ (3, return 0.); (1, nonzero) ])
+         in
+         return (Array.append [| c0 |] tail, Lp.Le, 5.))
+    in
+    return
+      { sense_max = false; bounds = Array.make nv (0., 4.);
+        obj = Array.make nv (-1.); rows = (first, Lp.Le, 9.) :: rest })
+
 let rlp_arb = QCheck.make ~print:print_rlp rlp_gen
 
 let any_rlp_arb =
   QCheck.make ~print:print_rlp (QCheck.Gen.oneof [ rlp_gen; sparse_rlp_gen ])
+
+let lu_rlp_arb =
+  QCheck.make ~print:print_rlp
+    (QCheck.Gen.oneof [ rlp_gen; sparse_rlp_gen; tie_rlp_gen; fill_rlp_gen ])
 
 let build r =
   let p = Lp.create () in
@@ -467,24 +509,46 @@ let columns r =
   in
   (m, Array.append structural (Array.init m (fun i -> [| (i, 1.) |])))
 
+let mat_of_columns m cols =
+  let n = Array.length cols in
+  let col_start = Array.make (n + 1) 0 in
+  Array.iteri
+    (fun j c -> col_start.(j + 1) <- col_start.(j) + Array.length c)
+    cols;
+  let entries = Array.concat (Array.to_list cols) in
+  { Basis.m; col_start; row_idx = Array.map fst entries;
+    coef = Array.map snd entries }
+
+(* Every field of a sparse factor against the dense reference's one
+   m x m array, under [=]: the permutation, the pivots, and L by columns
+   and U by rows with the exact zeros left out. *)
+let factor_equals_dense (f : Basis.factor) (d : Dense_lu.t) =
+  let m = d.Dense_lu.m and lu = d.Dense_lu.lu in
+  let after k = List.init (m - k - 1) (fun i -> k + 1 + i) in
+  let l_rows j = Array.of_list (List.filter (fun i -> lu.(i).(j) <> 0.) (after j))
+  and u_cols i = Array.of_list (List.filter (fun j -> lu.(i).(j) <> 0.) (after i)) in
+  f.Basis.perm = d.Dense_lu.perm
+  && f.Basis.udiag = Dense_lu.pivots d
+  && List.for_all
+       (fun k ->
+         let rows = l_rows k and cols = u_cols k in
+         f.Basis.l_idx.(k) = rows
+         && f.Basis.l_val.(k) = Array.map (fun i -> lu.(i).(k)) rows
+         && f.Basis.u_idx.(k) = cols
+         && f.Basis.u_val.(k) = Array.map (fun j -> lu.(k).(j)) cols)
+       (List.init m Fun.id)
+
 (* Sparse vs dense on one random LP: a random basis (a few draws until
    one is nonsingular, skipped otherwise), then up to 80 random column
    replacements — past Basis.refactor_every, so the embedded
-   refactorization runs too.  After every step both must agree on the
-   basis and, under [=], on ftran and btran of random vectors. *)
+   refactorization runs too.  The factors must be equal field by field;
+   after every step both must agree on the basis and, under [=], on
+   ftran and btran of random vectors. *)
 let sparse_matches_dense r seed =
   let rng = Random.State.make [| seed |] in
   let m, cols = columns r in
   let n = Array.length cols in
-  let mat =
-    let col_start = Array.make (n + 1) 0 in
-    Array.iteri
-      (fun j c -> col_start.(j + 1) <- col_start.(j) + Array.length c)
-      cols;
-    let entries = Array.concat (Array.to_list cols) in
-    { Basis.m; col_start; row_idx = Array.map fst entries;
-      coef = Array.map snd entries }
-  in
+  let mat = mat_of_columns m cols in
   let sc = Basis.scratch () in
   let random_basis () =
     let order = Array.init n Fun.id in
@@ -517,8 +581,7 @@ let sparse_matches_dense r seed =
       | Error `Singular, None -> attempt (tries - 1)
       | Ok _, None | Error `Singular, Some _ -> false
       | Ok f, Some dense ->
-        Basis.permutation f = dense.Dense_lu.perm
-        && Basis.pivots f = Dense_lu.pivots dense
+        factor_equals_dense f dense
         &&
         let sparse = Basis.of_factor sc mat f in
         let rec step k =
@@ -560,9 +623,94 @@ let sparse_matches_dense r seed =
 let test_sparse_lu_matches_dense =
   QCheck.Test.make
     ~name:"sparse LU = dense reference LU (pivots, ftran, btran, etas)"
-    ~count:300
-    (QCheck.pair any_rlp_arb QCheck.small_nat)
+    ~count:400
+    (QCheck.pair lu_rlp_arb QCheck.small_nat)
     (fun (r, seed) -> sparse_matches_dense r seed)
+
+(* The standardized matrix of a problem, as Revised builds it:
+   structural columns with their nonzero entries in row order, then one
+   unit logical column per row. *)
+let standardized_columns p =
+  let m = Lp.num_constrs p and nv = Lp.num_vars p in
+  let structural = Array.make nv [] in
+  for i = m - 1 downto 0 do
+    List.iter
+      (fun (c, v) -> if c <> 0. then structural.(v) <- (i, c) :: structural.(v))
+      (Lp.constr_at p i).Lp.terms
+  done;
+  ( m,
+    Array.append
+      (Array.map Array.of_list structural)
+      (Array.init m (fun i -> [| (i, 1.) |])) )
+
+(* The bases a branch-and-bound meets: a K=8 [tight] floorplan model,
+   solved at the root and dived depth first, each child re-solved warm
+   from its parent's snapshot with one fractional binary fixed.  Every
+   optimal snapshot's basis is factored both ways. *)
+let test_lu_on_tight_snapshots () =
+  let module F = Fp_core.Formulation in
+  let module Gen = Fp_netlist.Generator in
+  let module Md = Fp_netlist.Module_def in
+  let nl =
+    Gen.generate
+      { Gen.default_config with
+        Gen.num_modules = 8; total_area = 349. *. 8.; seed = 8 }
+  in
+  let mods = Array.to_list (Fp_netlist.Netlist.modules nl) in
+  let items = List.map F.plain_item mods in
+  let area = List.fold_left (fun a md -> a +. Md.area md) 0. mods in
+  let chip_width =
+    List.fold_left
+      (fun a it -> Float.max a (F.item_min_width it))
+      (Float.sqrt (1.2 *. area)) items
+  in
+  let height_bound =
+    2. *. List.fold_left (fun a it -> a +. F.item_min_height it) 0. items
+  in
+  let built =
+    F.build ~chip_width ~height_bound ~formulation:F.Tight items
+  in
+  let model = built.F.model in
+  let p = Fp_milp.Model.problem model in
+  let m, cols = standardized_columns p in
+  let mat = mat_of_columns m cols in
+  let sc = Basis.scratch () in
+  let checked = ref 0 in
+  let check snap =
+    let basis = Revised.snapshot_basis snap in
+    match (Basis.factorize sc mat basis, Dense_lu.create m cols basis) with
+    | Ok f, Some dense ->
+      incr checked;
+      Alcotest.(check bool)
+        (Printf.sprintf "snapshot %d: factors equal" !checked)
+        true (factor_equals_dense f dense)
+    | _ -> Alcotest.fail "an optimal basis must factor both ways"
+  in
+  let ints = Fp_milp.Model.integer_vars model in
+  let rec dive depth snap x =
+    check snap;
+    let frac =
+      List.find_opt
+        (fun v -> Float.abs (x.(v) -. Float.round x.(v)) > 1e-6)
+        ints
+    in
+    match frac with
+    | Some v when depth < 12 && !checked < 60 ->
+      let lb = Lp.var_lb p v and ub = Lp.var_ub p v in
+      List.iter
+        (fun b ->
+          Lp.set_bounds p v ~lb:b ~ub:b;
+          (match Revised.solve_from snap p with
+          | Revised.Optimal { x; basis; _ }, _ -> dive (depth + 1) basis x
+          | _ -> ());
+          Lp.set_bounds p v ~lb ~ub)
+        [ Float.floor x.(v); Float.ceil x.(v) ]
+    | _ -> ()
+  in
+  (match Revised.solve p with
+  | Revised.Optimal { x; basis; _ }, _ -> dive 0 basis x
+  | _ -> Alcotest.fail "root LP must be optimal");
+  Alcotest.(check bool) "enough snapshots" true (!checked >= 20)
 
 (* ------------------------- factor reuse ------------------------------ *)
 
@@ -658,6 +806,8 @@ let () =
             test_warm_detects_infeasible;
           Alcotest.test_case "singular fault with shared factor" `Quick
             test_singular_fault_with_shared_factor;
+          Alcotest.test_case "sparse LU = dense on tight K=8 snapshots" `Quick
+            test_lu_on_tight_snapshots;
         ] );
       ( "oracle",
         [
