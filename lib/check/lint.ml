@@ -276,8 +276,9 @@ let duplicate_checks rows =
    relaxed).  The LP optimum is a valid upper bound on what the big-M
    must absorb, and — unlike interval arithmetic — it sees correlations
    such as [x_i + w_i <= W], so correctly sized constants are not
-   flagged.  Solved by the revised simplex in the caller's [ws]. *)
-let lp_sup ws m ~skip_row ~pinned ~lbt ~ubt terms =
+   flagged.  Only the verdict matters, so the revised simplex (in the
+   caller's [ws]) stops once it proves the optimum at most [threshold]. *)
+let lp_sup ws m ~skip_row ~pinned ~lbt ~ubt ~threshold terms =
   let prob = Model.problem m in
   let lp = Lp_problem.create ~name:"bigm_probe" () in
   let n = Model.num_vars m in
@@ -298,7 +299,7 @@ let lp_sup ws m ~skip_row ~pinned ~lbt ~ubt terms =
     (Lp_problem.constraints prob);
   Lp_problem.set_sense lp Lp_problem.Maximize;
   List.iter (fun (c, v) -> Lp_problem.set_obj_coeff lp v c) terms;
-  fst (Revised.solve_ws ws lp)
+  fst (Revised.probe_sup_ws ws ~threshold lp)
 
 let bigm_checks ctx m ~is_slack ~pair_of rows lbt ubt =
   let acc = ref [] in
@@ -385,14 +386,20 @@ let bigm_checks ctx m ~is_slack ~pair_of rows lbt ubt =
                         (fun (c, v) -> if c < 0. then Some (v, 1.) else None)
                         slack_terms
                     in
-                    match lp_sup ws m ~skip_row:ri ~pinned ~lbt ~ubt terms with
-                    | Revised.Optimal { obj; _ } -> Some (`Sup obj)
-                    | Revised.Infeasible -> Some `Unreachable
-                    | Revised.Unbounded -> Some (`Sup infinity)
-                    | Revised.Iteration_limit -> None
+                    match
+                      lp_sup ws m ~skip_row:ri ~pinned ~lbt ~ubt
+                        ~threshold:(rhs +. tol) terms
+                    with
+                    | Revised.Below _ -> Some `Vacuous
+                    | Revised.Solved (Revised.Optimal { obj = sup; _ }) ->
+                      Some (`Sup sup)
+                    | Revised.Solved Revised.Infeasible -> Some `Unreachable
+                    | Revised.Solved Revised.Unbounded -> Some (`Sup infinity)
+                    | Revised.Solved Revised.Iteration_limit -> None
                 in
                 match refined with
                 | Some `Unreachable -> () (* deactivation never arises *)
+                | Some `Vacuous -> () (* the probe proved sup <= rhs + tol *)
                 | Some (`Sup sup) ->
                   if sup > rhs +. tol then
                     emit

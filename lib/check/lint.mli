@@ -17,8 +17,8 @@
     the rest of the model with the row's slack binaries pinned to their
     deactivating values — so correlated variables (e.g. [x_i + w_i <= W]
     elsewhere in the model) do not produce false positives.  The LP
-    probes are solved by {!Fp_lp.Revised}, one workspace per {!model}
-    call.
+    probes are solved by {!Fp_lp.Revised.probe_sup_ws}, one workspace per
+    {!model} call, and stop as soon as they prove the row vacuous.
 
     Diagnostic codes are catalogued with triggering examples in
     [docs/analysis.md]. *)

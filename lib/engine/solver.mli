@@ -47,8 +47,10 @@ val default_scenario : scenario
 
 type context = {
   rng : Fp_util.Rng.t;
-      (** the engine's private stream — callers derive one per engine
-          with {!Fp_util.Rng.split} so racing engines never share *)
+      (** the engine's private stream: {!of_scenario} and the portfolio
+          create one per engine with {!Fp_util.Rng.create} from the
+          scenario seed, so racing engines never share a stream and each
+          draws what it would draw running alone *)
   deadline : float option;
       (** absolute [Unix.gettimeofday]-scale instant to stop by —
           already combined from the scenario's [time_budget] by

@@ -17,7 +17,11 @@ type constr = {
    d_start.(d + 1) - 1], with [Ge] and the second [Eq] direction
    negated.  Built from the row records in [key] and rebuilt when a call
    sees other records, as the revised simplex's workspace is.  [touch]
-   marks the variables a call has recorded for undo, by call stamp. *)
+   marks the variables a call has recorded for undo, by call stamp.
+   Variable [v] appears in the rows [v_row.(v_start.(v) .. v_start.(v +
+   1) - 1)]; [dirty.(r)] is false only while row [r]'s last evaluation
+   tightened nothing and none of its variables' bounds has been written
+   since, under the [integral] predicate that evaluation ran with. *)
 type layout = {
   key : constr array;
   r_dir : int array;
@@ -27,11 +31,28 @@ type layout = {
   e_coef : float array;
   touch : int array;
   mutable stamp : int;
+  v_start : int array;
+  v_row : int array;
+  dirty : bool array;
+  mutable integral : var -> bool;
 }
+
+let nobody _ = false
 
 let no_layout () =
   { key = [||]; r_dir = [| 0 |]; d_start = [| 0 |]; d_rhs = [||];
-    e_var = [||]; e_coef = [||]; touch = [||]; stamp = 0 }
+    e_var = [||]; e_coef = [||]; touch = [||]; stamp = 0; v_start = [| 0 |];
+    v_row = [||]; dirty = [||]; integral = nobody }
+
+(* A bound of [v] was written: every row holding [v] must be evaluated
+   again.  Variables the layout does not know yet force a rebuild
+   anyway. *)
+let mark_rows l v =
+  if v < Array.length l.v_start - 1 then
+    for p = l.v_start.(v) to l.v_start.(v + 1) - 1 do
+      l.dirty.(l.v_row.(p)) <- true
+    done
+[@@inline]
 
 (* Bounds and costs live in float arrays, so writing one never boxes. *)
 type t = {
@@ -184,7 +205,8 @@ let set_bounds t v ~lb ~ub =
     invalid_arg
       (Printf.sprintf "Lp_problem.set_bounds %d: ub (%g) < lb (%g)" v ub lb);
   t.lb.(v) <- lb;
-  t.ub.(v) <- ub
+  t.ub.(v) <- ub;
+  mark_rows t.layout v
 
 let tighten_bounds t v ~lb ~ub =
   check_var t v "tighten_bounds";
@@ -193,6 +215,7 @@ let tighten_bounds t v ~lb ~ub =
   else begin
     t.lb.(v) <- nlb;
     t.ub.(v) <- nub;
+    mark_rows t.layout v;
     true
   end
 
@@ -241,8 +264,29 @@ let build_layout t extra =
         direction false row);
       r_dir.(r + 1) <- !d)
     key;
+  let v_start = Array.make (t.nvars + 1) 0 in
+  Array.iter
+    (fun row ->
+      List.iter
+        (fun (_, v) -> v_start.(v + 1) <- v_start.(v + 1) + 1)
+        row.terms)
+    key;
+  for v = 0 to t.nvars - 1 do
+    v_start.(v + 1) <- v_start.(v + 1) + v_start.(v)
+  done;
+  let v_row = Array.make v_start.(t.nvars) 0 in
+  let next = Array.sub v_start 0 t.nvars in
+  Array.iteri
+    (fun r row ->
+      List.iter
+        (fun (_, v) ->
+          v_row.(next.(v)) <- r;
+          next.(v) <- next.(v) + 1)
+        row.terms)
+    key;
   { key; r_dir; d_start; d_rhs; e_var; e_coef;
-    touch = Array.make t.nvars 0; stamp = 0 }
+    touch = Array.make t.nvars 0; stamp = 0; v_start; v_row;
+    dirty = Array.make (Array.length key) true; integral = nobody }
 
 (* Row-driven interval propagation (feasibility-based bound tightening,
    the classic MIP presolve reduction).  For a row [sum a_i x_i <= b],
@@ -261,13 +305,19 @@ let build_layout t extra =
    of the search-tree pruning comes from.  The sweep runs over the
    flat layout with the bounds in place and no closure in its loops, so
    a call allocates only its undo list. *)
-let propagate_bounds ?(max_sweeps = 16) ?(integral = fun _ -> false)
-    ?(extra = [||]) t =
+let propagate_bounds ?(max_sweeps = 16) ?(integral = nobody) ?(extra = [||])
+    t =
   if not (layout_current t.layout t extra) then
     t.layout <- build_layout t extra;
   let l = t.layout in
+  (* A row is clean only under the predicate it was evaluated with. *)
+  if l.integral != integral then begin
+    Array.fill l.dirty 0 (Array.length l.dirty) true;
+    l.integral <- integral
+  end;
   let r_dir = l.r_dir and d_start = l.d_start and d_rhs = l.d_rhs in
   let e_var = l.e_var and e_coef = l.e_coef and touch = l.touch in
+  let dirty = l.dirty in
   let lb = t.lb and ub = t.ub in
   l.stamp <- l.stamp + 1;
   let stamp = l.stamp in
@@ -287,61 +337,71 @@ let propagate_bounds ?(max_sweeps = 16) ?(integral = fun _ -> false)
        stays small. *)
     let r = ref 0 in
     while (not !infeasible) && !r < nrows do
-      for d = r_dir.(!r) to r_dir.(!r + 1) - 1 do
-        let first = d_start.(d) and last = d_start.(d + 1) - 1 in
-        let b = d_rhs.(d) in
-        (* Interval minimum of the direction, counting the infinite
-           contributions so a single unbounded term still lets the
-           others propagate (inf - inf has no meaning; counting does). *)
-        let finite_sum = ref 0. and n_inf = ref 0 in
-        for e = first to last do
-          let a = e_coef.(e) and v = e_var.(e) in
-          let m = if a > 0. then a *. lb.(v) else a *. ub.(v) in
-          if Float.is_finite m then finite_sum := !finite_sum +. m
-          else incr n_inf
-        done;
-        for e = first to last do
-          let a = e_coef.(e) in
-          if a <> 0. then begin
-            let v = e_var.(e) in
-            let own = if a > 0. then a *. lb.(v) else a *. ub.(v) in
-            if !n_inf = 0 || (!n_inf = 1 && not (Float.is_finite own)) then begin
-              let rest = if !n_inf = 0 then !finite_sum -. own else !finite_sum in
-              let limit = (b -. rest) /. a in
-              if a > 0. then begin
-                let nub =
-                  if integral v then Float.round (Float.floor (limit +. 1e-6))
-                  else limit
+      (* A clean row would tighten nothing again: skipping it changes
+         no bound, no sweep count and no undo order. *)
+      if dirty.(!r) then begin
+        dirty.(!r) <- false;
+        for d = r_dir.(!r) to r_dir.(!r + 1) - 1 do
+          let first = d_start.(d) and last = d_start.(d + 1) - 1 in
+          let b = d_rhs.(d) in
+          (* Interval minimum of the direction, counting the infinite
+             contributions so a single unbounded term still lets the
+             others propagate (inf - inf has no meaning; counting does). *)
+          let finite_sum = ref 0. and n_inf = ref 0 in
+          for e = first to last do
+            let a = e_coef.(e) and v = e_var.(e) in
+            let m = if a > 0. then a *. lb.(v) else a *. ub.(v) in
+            if Float.is_finite m then finite_sum := !finite_sum +. m
+            else incr n_inf
+          done;
+          for e = first to last do
+            let a = e_coef.(e) in
+            if a <> 0. then begin
+              let v = e_var.(e) in
+              let own = if a > 0. then a *. lb.(v) else a *. ub.(v) in
+              if !n_inf = 0 || (!n_inf = 1 && not (Float.is_finite own))
+              then begin
+                let rest =
+                  if !n_inf = 0 then !finite_sum -. own else !finite_sum
                 in
-                if nub < ub.(v) -. min_gain then begin
-                  if touch.(v) <> stamp then begin
-                    touch.(v) <- stamp;
-                    changed := (v, lb.(v), ub.(v)) :: !changed
-                  end;
-                  ub.(v) <- nub;
-                  progress := true;
-                  if lb.(v) > nub +. 1e-6 then infeasible := true
+                let limit = (b -. rest) /. a in
+                if a > 0. then begin
+                  let nub =
+                    if integral v then Float.round (Float.floor (limit +. 1e-6))
+                    else limit
+                  in
+                  if nub < ub.(v) -. min_gain then begin
+                    if touch.(v) <> stamp then begin
+                      touch.(v) <- stamp;
+                      changed := (v, lb.(v), ub.(v)) :: !changed
+                    end;
+                    ub.(v) <- nub;
+                    mark_rows l v;
+                    progress := true;
+                    if lb.(v) > nub +. 1e-6 then infeasible := true
+                  end
                 end
-              end
-              else begin
-                let nlb =
-                  if integral v then Float.round (Float.ceil (limit -. 1e-6))
-                  else limit
-                in
-                if nlb > lb.(v) +. min_gain then begin
-                  if touch.(v) <> stamp then begin
-                    touch.(v) <- stamp;
-                    changed := (v, lb.(v), ub.(v)) :: !changed
-                  end;
-                  lb.(v) <- nlb;
-                  progress := true;
-                  if nlb > ub.(v) +. 1e-6 then infeasible := true
+                else begin
+                  let nlb =
+                    if integral v then Float.round (Float.ceil (limit -. 1e-6))
+                    else limit
+                  in
+                  if nlb > lb.(v) +. min_gain then begin
+                    if touch.(v) <> stamp then begin
+                      touch.(v) <- stamp;
+                      changed := (v, lb.(v), ub.(v)) :: !changed
+                    end;
+                    lb.(v) <- nlb;
+                    mark_rows l v;
+                    progress := true;
+                    if nlb > ub.(v) +. 1e-6 then infeasible := true
+                  end
                 end
               end
             end
-          end
+          done
         done
-      done;
+      end;
       incr r
     done
   done;

@@ -74,6 +74,8 @@ val remove_constrs : t -> int list -> unit
 val set_obj_coeff : t -> var -> float -> unit
 val set_sense : t -> sense -> unit
 val set_bounds : t -> var -> lb:float -> ub:float -> unit
+(** Overwrite [v]'s bounds.  Marks [v]'s rows for the next
+    {!propagate_bounds}. *)
 
 val tighten_bounds : t -> var -> lb:float -> ub:float -> bool
 (** [tighten_bounds t v ~lb ~ub] intersects [v]'s interval with
@@ -114,7 +116,17 @@ val propagate_bounds :
     removing or rewriting rows, or passing other [extra] rows, rebuilds
     it on the next call.  A call then allocates only its undo list.
     {!copy} starts without one, so copies can propagate on different
-    domains. *)
+    domains.
+
+    Clean rows are skipped.  A row is clean while its last evaluation
+    tightened nothing and none of its variables' bounds has been written
+    since: evaluating it again would tighten nothing, so skipping it
+    changes no bound, no sweep count and no undo order.  A row becomes
+    dirty when {!set_bounds} or a successful {!tighten_bounds} writes a
+    bound of one of its variables, when a sweep tightens one, when the
+    flattened rows are rebuilt, and when a call passes an [integral]
+    predicate physically different from the previous call's (pass the
+    same closure each time to keep the marks). *)
 
 val objective_interval : t -> float * float
 (** Interval of the objective function over the current bound box —

@@ -593,13 +593,71 @@ let phase1 st ~budget =
 (* Dual simplex                                                        *)
 (* ------------------------------------------------------------------ *)
 
-type dual_outcome = D_feasible | D_infeasible | D_iters | D_singular
+type dual_outcome =
+  | D_feasible
+  | D_infeasible
+  | D_iters
+  | D_singular
+  | D_floor of float
+
+(* The objective of the current basic solution: while the basis is dual
+   feasible, a lower bound on the optimum that rises pivot by pivot. *)
+let basic_objective st =
+  let std = st.std in
+  let cost = std.cost in
+  let basis = Basis.basis st.bas in
+  let z = ref 0. in
+  for i = 0 to std.m - 1 do
+    z := !z +. (cost.(basis.(i)) *. st.xb.(i))
+  done;
+  for j = 0 to std.nstruct - 1 do
+    if st.stat.(j) <> VBasic && cost.(j) <> 0. then
+      z := !z +. (cost.(j) *. nb_value st ~lo:std.lo ~up:std.up j)
+  done;
+  !z
+
+(* The Lagrangian bound of the current duals y: for every x in the box
+   with A x + s = b,  c x = y b + sum_j d_j x_j  over all columns (the
+   logical s_i has cost 0 and reduced cost -y_i), so  y b  plus the least
+   each d_j x_j can be over its column's bounds bounds the optimum from
+   below, whatever y is.  Round-off residue in the reduced costs (basic
+   columns included) weakens the bound by residue times range instead of
+   breaking it.  [neg_infinity] when a range needed is unbounded. *)
+let lagrangian_bound st =
+  let std = st.std in
+  let mat = std.mat in
+  let lo = std.lo and up = std.up in
+  compute_duals st ~cost:std.cost;
+  let z = ref 0. in
+  for i = 0 to std.m - 1 do
+    z := !z +. (st.y.(i) *. std.b.(i))
+  done;
+  for j = 0 to std.n - 1 do
+    let dj =
+      if j < std.nstruct then std.cost.(j) -. col_dot mat st.y j
+      else -.st.y.(j - std.nstruct)
+    in
+    if dj > 0. then z := !z +. (dj *. lo.(j))
+    else if dj < 0. then z := !z +. (dj *. up.(j))
+  done;
+  !z
+
+(* [Some b] when the current basis proves the optimum is at least
+   [b >= floor]: the cheap basic objective gates the full Lagrangian
+   bound, which alone may stop the search. *)
+let floor_reached st floor =
+  if basic_objective st < floor then None
+  else
+    let b = lagrangian_bound st in
+    if b >= floor then Some b else None
 
 (* Requires dual feasibility of the starting basis; drives out primal
    bound violations (the situation after a branch-and-bound bound
    change).  Short-step variant: the entering variable may overshoot its
-   opposite bound and become the next leaving candidate. *)
-let dual st ~budget =
+   opposite bound and become the next leaving candidate.  With [floor],
+   stops with [D_floor b] once a violated basis proves the optimum is at
+   least [b >= floor]. *)
+let dual ?floor st ~budget =
   let std = st.std in
   let mat = std.mat in
   let lo = std.lo and up = std.up in
@@ -626,8 +684,17 @@ let dual st ~budget =
           r := i
         end
       done;
+      let proved =
+        match floor with
+        | Some f when !r >= 0 -> floor_reached st f
+        | _ -> None
+      in
       if !r < 0 then begin
         outcome := D_feasible;
+        running := false
+      end
+      else if Option.is_some proved then begin
+        outcome := D_floor (Option.get proved);
         running := false
       end
       else begin
@@ -905,13 +972,44 @@ let run_cold (ws : workspace) ~budget =
     in
     outcome
 
+let optimal prob st =
+  let x = extract st in
+  Optimal { x; obj = Lp_problem.objective_value prob x; basis = snapshot_of st }
+
 let finish prob st result =
-  match result with
-  | Optimal _ ->
-    let x = extract st in
-    Optimal { x; obj = Lp_problem.objective_value prob x;
-              basis = snapshot_of st }
-  | r -> r
+  match result with Optimal _ -> optimal prob st | r -> r
+
+(* A cold solve in [ws], after [dual_pivots] pivots and [refac0]
+   refactorizations spent on a path that gave up. *)
+let cold_solve (ws : workspace) prob ~budget ~dual_pivots ~refac0 =
+  let result, st, pivots, refac = run_cold ws ~budget in
+  let result =
+    match st with Some st -> finish prob st result | None -> result
+  in
+  ( result,
+    { primal_pivots = pivots; dual_pivots;
+      refactorizations = refac0 + refac; warm = false } )
+
+(* Primal phase 2 from a primal feasible basis, after [dual_pivots]
+   dual simplex pivots; when those reached dual feasibility too, it
+   normally certifies optimality in zero pivots.  [`Cold] hands back the
+   pivots and refactorizations spent when only a cold solve can finish
+   the job. *)
+let finish_primal st prob ~budget ~dual_pivots ~warm =
+  let std = st.std in
+  let pouts, piters =
+    primal st ~cost:std.cost ~lo:std.lo ~up:std.up
+      ~budget:(Int.max 0 (budget - dual_pivots))
+  in
+  let refactorizations = Basis.refactorizations st.bas in
+  let mk r =
+    `Done (r, { primal_pivots = piters; dual_pivots; refactorizations; warm })
+  in
+  match pouts with
+  | P_optimal -> mk (optimal prob st)
+  | P_unbounded -> mk Unbounded
+  | P_iters -> mk Iteration_limit
+  | P_singular -> `Cold (dual_pivots, refactorizations)
 
 let solve_ws (ws : workspace) ?max_iters prob =
   if Fault.fire site_iteration_limit then
@@ -921,16 +1019,77 @@ let solve_ws (ws : workspace) ?max_iters prob =
   else begin
   let std = sync ws prob in
   let budget = match max_iters with Some b -> b | None -> default_budget std in
-  let result, st, pivots, refac = run_cold ws ~budget in
-  let result =
-    match st with Some st -> finish prob st result | None -> result
-  in
-  ( result,
-    { primal_pivots = pivots; dual_pivots = 0; refactorizations = refac;
-      warm = false } )
+  cold_solve ws prob ~budget ~dual_pivots:0 ~refac0:0
   end
 
 let solve ?max_iters prob = solve_ws (workspace ()) ?max_iters prob
+
+type probe = Below of float | Solved of result
+
+(* The bound-favourable start: the logical basis, with every costed
+   structural at the bound its cost prefers and the others where a cold
+   start parks them.  Every reduced cost is then the cost itself, so the
+   start is dual feasible and its objective is the interval bound.
+   [false] when a favourable bound is infinite. *)
+let favourable_start (ws : workspace) =
+  let std = ws.std and stat = ws.stat in
+  let ok = ref true in
+  for j = 0 to std.nstruct - 1 do
+    let c = std.cost.(j) and lo = std.lo.(j) and up = std.up.(j) in
+    stat.(j) <-
+      (if c > 0. then VLower
+       else if c < 0. then VUpper
+       else if lo > neg_infinity then VLower
+       else if up < infinity then VUpper
+       else VFree);
+    if (c > 0. && lo = neg_infinity) || (c < 0. && up = infinity) then
+      ok := false
+  done;
+  for i = 0 to std.m - 1 do
+    stat.(std.nstruct + i) <- VBasic
+  done;
+  !ok
+
+let probe_sup_ws (ws : workspace) ~threshold prob =
+  if Lp_problem.sense prob <> Lp_problem.Maximize then
+    invalid_arg "Revised.probe_sup_ws: the problem must maximize";
+  if Fault.fire site_iteration_limit then
+    ( Solved Iteration_limit,
+      { primal_pivots = 0; dual_pivots = 0; refactorizations = 0;
+        warm = false } )
+  else begin
+    let std = sync ws prob in
+    let budget = default_budget std in
+    let cold ~dual_pivots ~refac0 =
+      let result, stats = cold_solve ws prob ~budget ~dual_pivots ~refac0 in
+      (Solved result, stats)
+    in
+    let logicals = Array.init std.m (fun i -> std.nstruct + i) in
+    if not (favourable_start ws) then cold ~dual_pivots:0 ~refac0:0
+    else
+      match Basis.create ws.sc std.mat logicals with
+      | Error `Singular -> cold ~dual_pivots:0 ~refac0:0
+      | Ok bas -> (
+        let st = fresh_state ws bas in
+        (* Minimization costs: sup <= threshold is the optimum's
+           lower bound reaching -threshold. *)
+        let douts, diters = dual ~floor:(-.threshold) st ~budget in
+        let stats =
+          { primal_pivots = 0; dual_pivots = diters;
+            refactorizations = Basis.refactorizations bas; warm = false }
+        in
+        match douts with
+        | D_floor b -> (Below (-.b), stats)
+        | D_infeasible -> (Solved Infeasible, stats)
+        | D_iters | D_singular ->
+          cold ~dual_pivots:diters ~refac0:(Basis.refactorizations bas)
+        | D_feasible -> (
+          match
+            finish_primal st prob ~budget ~dual_pivots:diters ~warm:false
+          with
+          | `Done (r, stats) -> (Solved r, stats)
+          | `Cold (dual_pivots, refac0) -> cold ~dual_pivots ~refac0))
+  end
 
 let valid_snapshot snap std =
   snap.sm = std.m && snap.sn = std.n
@@ -980,32 +1139,13 @@ let start_warm (ws : workspace) slot snap std =
     Result.map (Basis.of_factor ws.sc std.mat) f
 
 (* Dual simplex from a started warm basis, then the closing primal
-   pass; [`Cold] hands back the pivots and refactorizations spent when
-   only a cold solve can finish the job. *)
-let run_warm st ~budget prob snap =
+   pass. *)
+let run_warm st ~budget prob =
   let std = st.std and bas = st.bas in
   if dual_feasible st then begin
     let douts, diters = dual st ~budget in
     match douts with
-    | D_feasible ->
-      (* Dual feasible + primal feasible; the closing primal pass
-         normally certifies optimality in zero pivots. *)
-      let pouts, piters =
-        primal st ~cost:std.cost ~lo:std.lo ~up:std.up
-          ~budget:(Int.max 0 (budget - diters))
-      in
-      let refac = Basis.refactorizations bas in
-      let mk r =
-        `Done
-          ( finish prob st r,
-            { primal_pivots = piters; dual_pivots = diters;
-              refactorizations = refac; warm = true } )
-      in
-      (match pouts with
-      | P_optimal -> mk (Optimal { x = [||]; obj = 0.; basis = snap })
-      | P_unbounded -> mk Unbounded
-      | P_iters -> mk Iteration_limit
-      | P_singular -> `Cold (diters, refac))
+    | D_feasible -> finish_primal st prob ~budget ~dual_pivots:diters ~warm:true
     | D_infeasible ->
       `Done
         ( Infeasible,
@@ -1017,28 +1157,14 @@ let run_warm st ~budget prob snap =
           { primal_pivots = 0; dual_pivots = diters;
             refactorizations = Basis.refactorizations bas; warm = true } )
     | D_singular -> `Cold (diters, Basis.refactorizations bas)
+    | D_floor _ -> assert false (* the warm path sets no floor *)
   end
   else begin
     (* Costs changed or tolerance drift: if the snapshot is at least
        primal feasible, restart primal phase 2 from it. *)
     compute_xb st ~lo:std.lo ~up:std.up;
-    if primal_infeasibility st ~lo:std.lo ~up:std.up <= feas_tol then begin
-      let pouts, piters =
-        primal st ~cost:std.cost ~lo:std.lo ~up:std.up ~budget
-      in
-      let refac = Basis.refactorizations bas in
-      let mk r =
-        `Done
-          ( finish prob st r,
-            { primal_pivots = piters; dual_pivots = 0;
-              refactorizations = refac; warm = true } )
-      in
-      match pouts with
-      | P_optimal -> mk (Optimal { x = [||]; obj = 0.; basis = snap })
-      | P_unbounded -> mk Unbounded
-      | P_iters -> mk Iteration_limit
-      | P_singular -> `Cold (0, refac)
-    end
+    if primal_infeasibility st ~lo:std.lo ~up:std.up <= feas_tol then
+      finish_primal st prob ~budget ~dual_pivots:0 ~warm:true
     else `Cold (0, Basis.refactorizations bas)
   end
 
@@ -1050,15 +1176,7 @@ let solve_from_ws (ws : workspace) ?max_iters ?slot snap prob =
   else begin
   let std = sync ws prob in
   let budget = match max_iters with Some b -> b | None -> default_budget std in
-  let cold ~dual_pivots ~refac0 =
-    let result, st, pivots, refac = run_cold ws ~budget in
-    let result =
-      match st with Some st -> finish prob st result | None -> result
-    in
-    ( result,
-      { primal_pivots = pivots; dual_pivots;
-        refactorizations = refac0 + refac; warm = false } )
-  in
+  let cold = cold_solve ws prob ~budget in
   if not (valid_snapshot snap std) then cold ~dual_pivots:0 ~refac0:0
   else begin
     let stat = ws.stat in
@@ -1088,7 +1206,7 @@ let solve_from_ws (ws : workspace) ?max_iters ?slot snap prob =
     match started with
     | Error `Singular -> cold ~dual_pivots:0 ~refac0:0
     | Ok bas -> (
-      match run_warm (fresh_state ws bas) ~budget prob snap with
+      match run_warm (fresh_state ws bas) ~budget prob with
       | `Done r -> r
       | `Cold (dual_pivots, refac0) -> cold ~dual_pivots ~refac0)
   end

@@ -15,7 +15,7 @@
 
     Fault sites (for {!Fp_util.Fault}, exercised by the resilience
     tests): ["revised.iteration_limit"] forces {!solve} / {!solve_from}
-    to report [Iteration_limit]; ["basis.singular_lu"] makes
+    / {!probe_sup_ws} to report [Iteration_limit]; ["basis.singular_lu"] makes
     {!solve_from} treat the snapshot's LU factorization as singular,
     taking the documented cold-solve fallback. *)
 
@@ -109,6 +109,33 @@ val factor_slot : ?uses:int -> unit -> factor_slot
 
 val solve_ws : workspace -> ?max_iters:int -> Lp_problem.t -> result * stats
 (** {!solve} in [workspace]. *)
+
+type probe =
+  | Below of float
+      (** [Below b]: the optimum is at most [b], and [b <= threshold];
+          the search stopped there, before reaching the optimum. *)
+  | Solved of result  (** the search ran to its end. *)
+
+val probe_sup_ws :
+  workspace ->
+  threshold:float ->
+  Lp_problem.t ->
+  probe * stats
+(** Answers "is the maximum at most [threshold]?" on a [Maximize]
+    problem, stopping as soon as the answer is yes.  A dual simplex from
+    the logical basis with every costed variable at its
+    objective-favourable bound: that start is dual feasible, its
+    objective is the interval bound of the objective over the box, and
+    each dual pivot lowers that bound.  Returns [Below b] once a basis
+    proves the maximum is at most [b <= threshold] ([b] is the
+    Lagrangian bound of the basis's duals, so a reduced cost that drifted
+    to the wrong sign weakens it, to nothing on an unbounded range,
+    rather than breaks it), and otherwise
+    the optimum or [Infeasible] as {!solve_ws} would.  Falls back to
+    {!solve_ws}'s cold solve when a favourable bound is infinite or the
+    dual simplex bails (singular basis, iteration budget).  The
+    ["revised.iteration_limit"] fault fires once per call, as in
+    {!solve_ws}.  @raise Invalid_argument on a [Minimize] problem. *)
 
 val solve_from_ws :
   workspace ->

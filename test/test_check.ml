@@ -293,6 +293,96 @@ let test_tight_plan_lint_golden () =
   Alcotest.(check (list (list string))) "sorted findings per step"
     tight_plan_lint_lines (List.rev !steps)
 
+(* Golden findings on the nine committed step models of the bundled
+   ami33 under the benchmark's [ami33_check] configuration ([tight], 200
+   nodes per step, retry ladder, build self-check), each step sorted.
+   Its 352 big-M probes mostly stop at the verdict; a probe that stopped
+   or failed wrongly would add an ML008 line here. *)
+let ami33_check_lint_lines =
+  [
+    [
+      "ML005|info|row c0|vacuous: satisfied by every point within the variable bounds (lhs range [0, 80.7983] vs rhs 80.7983)";
+      "ML005|info|row c1|vacuous: satisfied by every point within the variable bounds (lhs range [-13.2665, -13.2665] vs rhs -13.2665)";
+      "ML005|info|row c2|vacuous: satisfied by every point within the variable bounds (lhs range [-13.2665, -12] vs rhs -12)";
+      "ML005|info|row c3|vacuous: satisfied by every point within the variable bounds (lhs range [0, 93.3313] vs rhs 93.3313)";
+      "ML005|info|row c4|vacuous: satisfied by every point within the variable bounds (lhs range [-13.2665, -10] vs rhs -10)";
+      "ML010|info|model|7 binaries are not covered by any declare_pair (2-way instead of 4-way branching): z_bk22, s_i0_i1, s_i0_i2, s_i0_i3, ...";
+    ];
+    [
+      "ML010|info|model|12 binaries are not covered by any declare_pair (2-way instead of 4-way branching): z_bk21, s_i0_i1, s_i0_i3, s_i1_i3, ...";
+    ];
+    [
+      "ML005|info|row c0|vacuous: satisfied by every point within the variable bounds (lhs range [-6.73207, 74.8481] vs rhs 87.3313)";
+      "ML005|info|row c2|vacuous: satisfied by every point within the variable bounds (lhs range [-2, 76.116] vs rhs 93.3313)";
+      "ML005|info|row c4|vacuous: satisfied by every point within the variable bounds (lhs range [-2, 78.116] vs rhs 95.3313)";
+      "ML010|info|model|4 binaries are not covered by any declare_pair (2-way instead of 4-way branching): z_bk18, z_bk20, s_i1_f1, s_i1_f4";
+    ];
+    [
+      "ML005|info|row c40|vacuous: satisfied by every point within the variable bounds (lhs range [-92.3313, -17.2665] vs rhs -17.2665)";
+      "ML005|info|row c42|vacuous: satisfied by every point within the variable bounds (lhs range [-93.3313, -17.2665] vs rhs -17.2665)";
+      "ML010|info|model|13 binaries are not covered by any declare_pair (2-way instead of 4-way branching): z_bk14, z_bk15, z_bk16, z_bk17, ...";
+    ];
+    [
+      "ML010|info|model|12 binaries are not covered by any declare_pair (2-way instead of 4-way branching): z_bk04, z_bk08, z_bk09, z_bk13, ...";
+    ];
+    [
+      "ML005|info|row c0|vacuous: satisfied by every point within the variable bounds (lhs range [0, 4.116] vs rhs 75.3313)";
+      "ML005|info|row c1|vacuous: satisfied by every point within the variable bounds (lhs range [-28, -28] vs rhs -28)";
+      "ML005|info|row c32|vacuous: satisfied by every point within the variable bounds (lhs range [-19.116, -15] vs rhs -15)";
+      "ML005|info|row c33|vacuous: satisfied by every point within the variable bounds (lhs range [-48, -48] vs rhs -38)";
+      "ML005|info|row c49|vacuous: satisfied by every point within the variable bounds (lhs range [-39.3825, -35.2665] vs rhs -35.2665)";
+      "ML005|info|row c50|vacuous: satisfied by every point within the variable bounds (lhs range [-48, -48] vs rhs -48)";
+      "ML005|info|row c64|vacuous: satisfied by every point within the variable bounds (lhs range [0, 4.116] vs rhs 4.116)";
+      "ML005|info|row c65|vacuous: satisfied by every point within the variable bounds (lhs range [-4.116, 0] vs rhs -0)";
+      "ML005|info|row c78|vacuous: satisfied by every point within the variable bounds (lhs range [0, 4.116] vs rhs 4.116)";
+      "ML005|info|row c95|vacuous: satisfied by every point within the variable bounds (lhs range [0, 4.116] vs rhs 47.3313)";
+      "ML006|warning|row c50|parallel to row c33 (same left-hand side, different rhs: the looser row is redundant)";
+      "ML006|warning|row c64|parallel to row c0 (same left-hand side, different rhs: the looser row is redundant)";
+      "ML006|warning|row c78|parallel to row c0 (same left-hand side, different rhs: the looser row is redundant)";
+      "ML006|warning|row c95|parallel to row c0 (same left-hand side, different rhs: the looser row is redundant)";
+      "ML010|info|model|3 binaries are not covered by any declare_pair (2-way instead of 4-way branching): z_bk06, z_bk10, z_bk11";
+    ];
+    [
+      "ML005|info|row c33|vacuous: satisfied by every point within the variable bounds (lhs range [-74, -70] vs rhs -70)";
+      "ML005|info|row c35|vacuous: satisfied by every point within the variable bounds (lhs range [-76, -70] vs rhs -70)";
+      "ML005|info|row c37|vacuous: satisfied by every point within the variable bounds (lhs range [-78, -70] vs rhs -70)";
+      "ML005|info|row c39|vacuous: satisfied by every point within the variable bounds (lhs range [-90.5132, -70] vs rhs -70)";
+      "ML005|info|row c60|vacuous: satisfied by every point within the variable bounds (lhs range [-81.3313, -32] vs rhs -32)";
+      "ML010|info|model|3 binaries are not covered by any declare_pair (2-way instead of 4-way branching): z_bk02, z_bk03, z_bk05";
+    ];
+    [
+      "ML005|info|row c32|vacuous: satisfied by every point within the variable bounds (lhs range [-77.3313, -26] vs rhs -26)";
+      "ML010|info|model|3 binaries are not covered by any declare_pair (2-way instead of 4-way branching): z_bk00, z_bk07, z_bk12";
+    ];
+    [
+      "ML005|info|row c0|vacuous: satisfied by every point within the variable bounds (lhs range [-11.3137, 50.6863] vs rhs 84.7038)";
+      "ML005|info|row c3|vacuous: satisfied by every point within the variable bounds (lhs range [-116.418, -98] vs rhs -98)";
+      "ML010|info|model|1 binary is not covered by any declare_pair (2-way instead of 4-way branching): s_i0_f4";
+    ];
+  ]
+
+let test_ami33_check_lint_golden () =
+  let nl = Fp_data.Ami33.netlist () in
+  let steps = ref [] in
+  let inspect =
+    { Augment.on_model =
+        (fun built ->
+          let lines = List.map Diag.to_line (Lint.formulation built) in
+          steps := List.sort String.compare lines :: !steps);
+      on_step = (fun _ _ -> ()) }
+  in
+  let d = Augment.default_config in
+  let config =
+    { d with
+      Augment.formulation = Formulation.Tight;
+      check = true;
+      inspect = Some inspect;
+      milp = { d.Augment.milp with BB.node_limit = 200; time_limit = 1e9 } }
+  in
+  ignore (Augment.run ~config nl);
+  Alcotest.(check (list (list string))) "sorted findings per step"
+    ami33_check_lint_lines (List.rev !steps)
+
 (* ----------------------------- certifier ----------------------------- *)
 
 let placed ?(rotated = false) id r =
@@ -569,6 +659,8 @@ let () =
             test_build_check_flag_runs_self_check;
           Alcotest.test_case "ami33 models lint clean" `Slow
             test_ami33_models_lint_clean;
+          Alcotest.test_case "ami33_check findings (golden)" `Slow
+            test_ami33_check_lint_golden;
         ] );
       ( "certify",
         [

@@ -453,18 +453,22 @@ let reference_propagate ?(max_sweeps = 16) ?(integral = fun _ -> false)
 (* A random problem and a random run of edits between propagation
    calls: appended, truncated and rewritten rows and a replaced [extra]
    array all change the rows a call must sweep, so a stale cached layout
-   would show. *)
+   would show; bound writes and a switch of integrality predicate change
+   what a row would conclude, so a row wrongly kept clean would show. *)
 type prop_op =
-  | Propagate of int  (* max_sweeps *)
+  | Propagate of int * bool  (* max_sweeps, second predicate *)
   | Append of Lp.constr
   | Truncate of int
   | Rewrite of int * Lp.constr
   | Set_extra of Lp.constr array
   | Reset_bounds
+  | Set_bounds of int * (float * float)
+  | Tighten_bounds of int * (float * float)
 
 type prop_case = {
   p_bounds : (float * float) array;
   p_integral : bool array;
+  p_integral2 : bool array;
   p_rows : Lp.constr list;
   p_ops : prop_op list;
 }
@@ -497,18 +501,23 @@ let prop_case_gen =
     in
     let* p_bounds = array_repeat nv bound in
     let* p_integral = array_repeat nv bool in
+    let* p_integral2 = array_repeat nv bool in
     let* p_rows = list_size (int_range 0 6) row in
     let op =
       frequency
-        [ (5, map (fun s -> Propagate s) (int_range 1 16));
+        [ (6, map2 (fun s b -> Propagate (s, b)) (int_range 1 16) bool);
           (2, map (fun r -> Append r) row);
           (2, map (fun k -> Truncate k) (int_bound 8));
           (1, map2 (fun i r -> Rewrite (i, r)) (int_bound 8) row);
           (2, map (fun l -> Set_extra (Array.of_list l)) (list_size (int_bound 3) row));
-          (1, return Reset_bounds) ]
+          (1, return Reset_bounds);
+          (2, map2 (fun v b -> Set_bounds (v, b)) (int_bound (nv - 1)) bound);
+          (2,
+           map2 (fun v b -> Tighten_bounds (v, b)) (int_bound (nv - 1)) bound)
+        ]
     in
-    let* p_ops = list_size (int_range 1 12) op in
-    return { p_bounds; p_integral; p_rows; p_ops })
+    let* p_ops = list_size (int_range 1 16) op in
+    return { p_bounds; p_integral; p_integral2; p_rows; p_ops })
 
 let print_prop_case c =
   let row (r : Lp.constr) =
@@ -518,23 +527,31 @@ let print_prop_case c =
       (match r.Lp.cmp with Lp.Le -> "<=" | Lp.Ge -> ">=" | Lp.Eq -> "=")
       r.Lp.rhs
   in
-  Printf.sprintf "bounds %s integral %s rows %s ops %s"
+  let bits a =
+    String.concat ""
+      (Array.to_list (Array.map (fun b -> if b then "1" else "0") a))
+  in
+  Printf.sprintf "bounds %s integral %s / %s rows %s ops %s"
     (String.concat ","
        (Array.to_list
           (Array.map (fun (l, u) -> Printf.sprintf "[%g,%g]" l u) c.p_bounds)))
-    (String.concat ""
-       (Array.to_list (Array.map (fun b -> if b then "1" else "0") c.p_integral)))
+    (bits c.p_integral) (bits c.p_integral2)
     (String.concat "; " (List.map row c.p_rows))
     (String.concat "; "
        (List.map
           (function
-            | Propagate s -> Printf.sprintf "propagate(%d)" s
+            | Propagate (s, second) ->
+              Printf.sprintf "propagate(%d%s)" s
+                (if second then ", second" else "")
             | Append r -> "append " ^ row r
             | Truncate k -> Printf.sprintf "truncate %d" k
             | Rewrite (i, r) -> Printf.sprintf "rewrite %d %s" i (row r)
             | Set_extra e ->
               "extra [" ^ String.concat "; " (Array.to_list (Array.map row e)) ^ "]"
-            | Reset_bounds -> "reset")
+            | Reset_bounds -> "reset"
+            | Set_bounds (v, (l, u)) -> Printf.sprintf "set x%d [%g,%g]" v l u
+            | Tighten_bounds (v, (l, u)) ->
+              Printf.sprintf "tighten x%d [%g,%g]" v l u)
           c.p_ops))
 
 let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
@@ -559,12 +576,16 @@ let test_propagate_matches_reference =
         c.p_bounds;
       let add (r : Lp.constr) = Lp.add_constr p r.Lp.terms r.Lp.cmp r.Lp.rhs in
       List.iter add c.p_rows;
-      let integral v = c.p_integral.(v) in
+      (* Two predicates, each one closure for the whole run: a row the
+         first left clean must be swept again under the second. *)
+      let integral1 v = c.p_integral.(v)
+      and integral2 v = c.p_integral2.(v) in
       let extra = ref [||] in
       let ok = ref true in
       List.iter
         (function
-          | Propagate max_sweeps ->
+          | Propagate (max_sweeps, second) ->
+            let integral = if second then integral2 else integral1 in
             let lb = Array.init nv (Lp.var_lb p)
             and ub = Array.init nv (Lp.var_ub p) in
             let want =
@@ -593,7 +614,10 @@ let test_propagate_matches_reference =
                 r.Lp.rhs
           | Set_extra e -> extra := e
           | Reset_bounds ->
-            Array.iteri (fun v (lb, ub) -> Lp.set_bounds p v ~lb ~ub) c.p_bounds)
+            Array.iteri (fun v (lb, ub) -> Lp.set_bounds p v ~lb ~ub) c.p_bounds
+          | Set_bounds (v, (lb, ub)) -> Lp.set_bounds p v ~lb ~ub
+          | Tighten_bounds (v, (lb, ub)) ->
+            ignore (Lp.tighten_bounds p v ~lb ~ub))
         c.p_ops;
       !ok)
 

@@ -351,6 +351,94 @@ let test_warm_equals_cold =
         !ok
       | _ -> true)
 
+(* ----------------------- verdict-bounded probes ---------------------- *)
+
+(* A random LP made a maximization over a finite box, and a threshold
+   placed relative to its cold optimum: exactly at it, just either side
+   of it, well away, or a fraction of the way up to the box's interval
+   bound, where the probe starts. *)
+let finite_max r =
+  {
+    r with
+    sense_max = true;
+    bounds =
+      Array.map
+        (fun (lb, ub) ->
+          let lb = if lb = neg_infinity then -3. else lb in
+          (lb, if ub = infinity then lb +. 8. else ub))
+        r.bounds;
+  }
+
+type place = Off of float | Toward_box of float
+
+let probe_arb =
+  QCheck.make
+    ~print:(fun (r, place) ->
+      Printf.sprintf "%s threshold=%s" (print_rlp r)
+        (match place with
+        | Off d -> Printf.sprintf "opt%+g" d
+        | Toward_box f -> Printf.sprintf "opt+%g*(box-opt)" f))
+    QCheck.Gen.(
+      pair
+        (map finite_max (oneof [ rlp_gen; sparse_rlp_gen ]))
+        (oneof
+           [ map (fun d -> Off d) (oneofl [ 0.; -1e-7; 1e-7; -0.5; 0.5; 5. ]);
+             map (fun f -> Toward_box f) (oneofl [ 0.1; 0.5; 0.9 ]) ]))
+
+let threshold_of r cold place =
+  match (cold, place) with
+  | Revised.Optimal { obj; _ }, Off d -> obj +. d
+  | Revised.Optimal { obj; _ }, Toward_box f ->
+    let box = ref 0. in
+    Array.iteri
+      (fun v (lb, ub) ->
+        box := !box +. Float.max (r.obj.(v) *. lb) (r.obj.(v) *. ub))
+      r.bounds;
+    obj +. (f *. (!box -. obj))
+  | _, (Off d | Toward_box d) -> d
+
+let rel_close a b = Float.abs (a -. b) <= 1e-9 *. Float.max 1. (Float.abs b)
+
+(* A [Below b] answer bounds the cold optimum and passes the threshold; a
+   probe that runs to its end agrees with the cold solve, infeasibility
+   included. *)
+let test_probe_sound =
+  QCheck.Test.make ~name:"probe_sup_ws: Below bounds the cold optimum"
+    ~count:600 probe_arb (fun (r, place) ->
+      let p = build r in
+      let cold = fst (Revised.solve p) in
+      let threshold = threshold_of r cold place in
+      let ws = Revised.workspace () in
+      match (fst (Revised.probe_sup_ws ws ~threshold p), cold) with
+      | Revised.Below b, Revised.Optimal { obj; _ } ->
+        b <= threshold && obj <= b +. (1e-9 *. Float.max 1. (Float.abs b))
+      | Revised.Below b, Revised.Infeasible -> b <= threshold
+      | Revised.Solved (Revised.Optimal { obj = a; x; _ }),
+        Revised.Optimal { obj; _ } ->
+        rel_close a obj && Lp.constraint_violation p x < 1e-6
+      | Revised.Solved Revised.Infeasible, Revised.Infeasible -> true
+      | Revised.Solved Revised.Iteration_limit, _ -> true
+      | _ -> false)
+
+(* With a costed variable's favourable bound opened, the probe has no
+   dual-feasible start and must be the cold solve, stats included. *)
+let test_probe_fallback =
+  QCheck.Test.make ~name:"probe_sup_ws: infinite favourable bound = cold solve"
+    ~count:200 probe_arb (fun (r, place) ->
+      let p = build r in
+      match Array.find_index (fun c -> c <> 0.) r.obj with
+      | None -> true
+      | Some v ->
+        if r.obj.(v) > 0. then
+          Lp.set_bounds p v ~lb:(Lp.var_lb p v) ~ub:infinity
+        else Lp.set_bounds p v ~lb:neg_infinity ~ub:(Lp.var_ub p v);
+        let threshold = threshold_of r (fst (Revised.solve p)) place in
+        let probe, pstats =
+          Revised.probe_sup_ws (Revised.workspace ()) ~threshold p
+        in
+        let cold, cstats = Revised.solve p in
+        probe = Revised.Solved cold && pstats = cstats)
+
 (* ------------------- sparse LU vs dense reference ------------------- *)
 
 (* The dense LU that Basis used to hold, kept here as the reference:
@@ -815,5 +903,7 @@ let () =
           QCheck_alcotest.to_alcotest test_warm_equals_cold;
           QCheck_alcotest.to_alcotest test_sparse_lu_matches_dense;
           QCheck_alcotest.to_alcotest test_sibling_factor_reuse;
+          QCheck_alcotest.to_alcotest test_probe_sound;
+          QCheck_alcotest.to_alcotest test_probe_fallback;
         ] );
     ]
