@@ -257,17 +257,32 @@ let obstacles_of cfg skyline placement =
   end
   else Placement.envelopes placement
 
-(* Everything one candidate evaluation produces.  Evaluation is pure
-   with respect to the partial floorplan — [Placement], [Skyline] and
-   [Formulation.build] are functional — so several candidates can be
-   evaluated concurrently against the same snapshot and at most one
-   committed. *)
+(* What a candidate's MILP is built from: its model, the warm packing
+   that seeds the search, and the partial floorplan it extends.
+   Formulation is pure with respect to the partial floorplan —
+   [Placement], [Skyline] and [Formulation.build] are functional — so
+   several candidates can be evaluated concurrently against the same
+   snapshot and at most one committed. *)
+type setup = {
+  s_group : int list;
+  s_items : Formulation.item array;
+  s_ids : int array;
+  s_num_obstacles : int;
+  s_built : Formulation.built;
+  s_warm : Warm_start.choice array;
+  s_warm_height : float;
+  s_warm_sol : float array option;
+  s_placement : Placement.t;  (* the partial floorplan before the step *)
+}
+
+(* Everything one candidate evaluation produces.  [e_search] is the
+   candidate's search when its budget ran out, kept so a retry can
+   continue it; it must be resumed or abandoned before the step
+   commits. *)
 type eval = {
-  e_group : int list;
-  e_built : Formulation.built;
-  e_num_obstacles : int;
+  e_setup : setup;
   e_outcome : Branch_bound.outcome;
-  e_warm_height : float;
+  e_search : Branch_bound.suspended option;
   e_placement : Placement.t;
   e_skyline : Skyline.t;
   e_degradations : Degradation.t list;
@@ -323,7 +338,7 @@ let nets_over_bound cfg nl placement =
           | _ -> None))
       (Netlist.nets nl)
 
-let evaluate cfg nl ~chip_width ~skyline ~placement ~pool ~mode group =
+let prepare cfg nl ~chip_width ~skyline ~placement group =
   (* Largest modules first: their pair binaries are declared first, so
      First_fractional branching decides the big shapes early. *)
   let group =
@@ -429,23 +444,28 @@ let evaluate cfg nl ~chip_width ~skyline ~placement ~pool ~mode group =
       Log.warn (fun f -> f "warm start unusable: %s" msg);
       None
   in
+  {
+    s_group = group; s_items = items; s_ids = ids;
+    s_num_obstacles = List.length obstacles; s_built = built; s_warm = warm;
+    s_warm_height = warm_height; s_warm_sol = warm_sol;
+    s_placement = placement;
+  }
+
+(* The candidate's result from its search [outcome] ([`Warm_only
+   reason]: no MILP ran, and [reason] says why): the committed point, the
+   placement and skyline it yields, and every degradation on the way. *)
+let conclude cfg nl ~chip_width setup ~search outcome =
+  let built = setup.s_built and warm_sol = setup.s_warm_sol in
   let degradations = ref [] in
   let degrade d = degradations := d :: !degradations in
   (* [sol = None] means "no MILP-encoded point at all": the group is
      committed geometrically from the warm choices. *)
   let outcome, sol =
-    match mode with
+    match outcome with
     | `Warm_only reason ->
       degrade reason;
       (no_outcome, warm_sol)
-    | `Solve milp ->
-      Fault.trip site_candidate;
-      let outcome =
-        Branch_bound.solve ~params:milp ?warm:warm_sol ?pool
-          ?cutter:(Formulation.separator built)
-          ~cut_pool:built.Formulation.cut_candidates
-          built.Formulation.model
-      in
+    | `Solved outcome ->
       if outcome.Branch_bound.numerical_recoveries > 0 then
         degrade
           (Degradation.Numerical_recovery
@@ -487,15 +507,18 @@ let evaluate cfg nl ~chip_width ~skyline ~placement ~pool ~mode group =
     | None ->
       (* Last resort: trust the geometric warm placement even though
          the model rejected its encoding. *)
-      Array.mapi (fun k c -> placed_of_choice items.(k) c) warm
+      Array.mapi
+        (fun k c -> placed_of_choice setup.s_items.(k) c)
+        setup.s_warm
   in
-  let pre_placement = placement in
-  let placement = ref placement in
+  let pre_placement = setup.s_placement in
+  let placement = ref pre_placement in
   Array.iteri
     (fun k (envelope, silicon, rotated) ->
       placement :=
         Placement.add !placement
-          { Placement.module_id = ids.(k); rect = silicon; envelope; rotated })
+          { Placement.module_id = setup.s_ids.(k); rect = silicon; envelope;
+            rotated })
     extracted;
   if cfg.compact_each_step then placement := Compact.vertical !placement;
   (* Surface critical nets whose bound the committed placement exceeds —
@@ -512,15 +535,36 @@ let evaluate cfg nl ~chip_width ~skyline ~placement ~pool ~mode group =
     Skyline.of_rects ~width:chip_width (Placement.envelopes !placement)
   in
   {
-    e_group = group;
-    e_built = built;
-    e_num_obstacles = List.length obstacles;
+    e_setup = setup;
     e_outcome = outcome;
-    e_warm_height = warm_height;
+    e_search = search;
     e_placement = !placement;
     e_skyline = skyline;
     e_degradations = List.rev !degradations;
   }
+
+(* Finish a candidate whose search just returned; a search left
+   suspended is abandoned if finishing fails, so no caller ever loses a
+   live one. *)
+let conclude_search cfg nl ~chip_width setup (outcome, search) =
+  match conclude cfg nl ~chip_width setup ~search (`Solved outcome) with
+  | e -> e
+  | exception exn ->
+    Option.iter Branch_bound.abandon search;
+    raise exn
+
+let evaluate cfg nl ~chip_width ~skyline ~placement ~pool ~mode group =
+  let setup = prepare cfg nl ~chip_width ~skyline ~placement group in
+  match mode with
+  | `Warm_only reason ->
+    conclude cfg nl ~chip_width setup ~search:None (`Warm_only reason)
+  | `Solve milp ->
+    Fault.trip site_candidate;
+    let built = setup.s_built in
+    conclude_search cfg nl ~chip_width setup
+      (Branch_bound.start ~params:milp ?warm:setup.s_warm_sol ?pool
+         ?cutter:(Formulation.separator built)
+         ~cut_pool:built.Formulation.cut_candidates built.Formulation.model)
 
 let run ?(config = default_config) ?resume nl =
   let cfg = config in
@@ -627,15 +671,15 @@ let run ?(config = default_config) ?resume nl =
     skyline := e.e_skyline;
     remaining := new_remaining;
     let degradations = e.e_degradations @ extra_degr in
-    let outcome = e.e_outcome in
+    let outcome = e.e_outcome and setup = e.e_setup in
     let stat =
       {
-        group = e.e_group;
+        group = setup.s_group;
         num_integer_vars =
-          Fp_milp.Model.num_integer_vars e.e_built.Formulation.model;
+          Fp_milp.Model.num_integer_vars setup.s_built.Formulation.model;
         num_constraints =
-          Fp_milp.Model.num_constrs e.e_built.Formulation.model;
-        num_cover_rects = e.e_num_obstacles;
+          Fp_milp.Model.num_constrs setup.s_built.Formulation.model;
+        num_cover_rects = setup.s_num_obstacles;
         milp_status = outcome.Branch_bound.status;
         nodes = outcome.Branch_bound.nodes;
         lp_solves = outcome.Branch_bound.lp_solves;
@@ -646,7 +690,7 @@ let run ?(config = default_config) ?resume nl =
         cuts_added = outcome.Branch_bound.cuts_added;
         cuts_purged = outcome.Branch_bound.cuts_purged;
         separation_time = outcome.Branch_bound.separation_time;
-        warm_height = e.e_warm_height;
+        warm_height = setup.s_warm_height;
         step_height = Skyline.max_height !skyline;
         step_time = Unix.gettimeofday () -. step_start;
         time_budget;
@@ -674,49 +718,73 @@ let run ?(config = default_config) ?resume nl =
     (match cfg.inspect with
     | None -> ()
     | Some i ->
-      guard_hook "on_model" (fun () -> i.on_model e.e_built);
+      guard_hook "on_model" (fun () -> i.on_model setup.s_built);
       guard_hook "on_step" (fun () -> i.on_step stat !placement))
   in
   (* One attempt at the head step: evaluate up to [candidates] groups,
-     pick the lowest-skyline one.  Returns the committed-or-retryable
-     verdict; candidate failures are excluded from selection. *)
-  let attempt_candidates ~milp =
+     pick the lowest-skyline one.  [prev], on a retry, is the previous
+     attempt's result per candidate: a suspended search continues under
+     [milp]'s limits, a search that ended on its own is kept (a bigger
+     budget cannot change it) and a failed candidate is evaluated afresh
+     — each the result a fresh evaluation at [milp] gives.  Every
+     suspended search in [prev] is consumed exactly once, and the ones
+     in the returned results are the caller's.  Candidate failures are
+     excluded from selection. *)
+  let attempt_candidates ~milp ~prev =
     let n_cand = Int.min cfg.candidates (List.length !remaining) in
     let cands =
       Array.of_list (List.filteri (fun i _ -> i < n_cand) !remaining)
     in
     let eval1 ~pool ~milp k =
       try
-        Ok
-          (evaluate cfg nl ~chip_width ~skyline:!skyline
-             ~placement:!placement ~pool ~mode:(`Solve milp) cands.(k))
+        match Option.map (fun results -> results.(k)) prev with
+        | Some (Ok { e_search = None; _ } as kept) -> kept
+        | Some (Ok ({ e_search = Some search; _ } as e)) ->
+          (* A depth-first search with a bigger budget first revisits
+             exactly the nodes the suspended one searched. *)
+          Ok
+            (conclude_search cfg nl ~chip_width e.e_setup
+               (Branch_bound.resume search
+                  ~node_limit:milp.Branch_bound.node_limit
+                  ~time_limit:milp.Branch_bound.time_limit))
+        | Some (Error _) | None ->
+          Ok
+            (evaluate cfg nl ~chip_width ~skyline:!skyline
+               ~placement:!placement ~pool ~mode:(`Solve milp) cands.(k))
       with
       | Abort -> raise Abort
       | exn -> Error (Printexc.to_string exn)
     in
+    let results = Array.make n_cand None in
     let worker_failure = ref None in
-    let evals =
-      if n_cand = 1 then
-        (* Single candidate: all the parallelism goes into the MILP
-           itself, which shares the run-wide pool. *)
-        [| eval1 ~pool ~milp 0 |]
-      else begin
-        (* Several candidates: one per pool task, each MILP sequential
-           inside its task — pool batches must not nest. *)
-        let milp1 = { milp with Branch_bound.jobs = 1 } in
-        match pool with
-        | Some p -> (
-          try Pool.map p ~n:n_cand (fun ~worker:_ k -> eval1 ~pool:None ~milp:milp1 k)
-          with
-          | Abort -> raise Abort
-          | exn ->
-            (* The pool itself failed; evaluate sequentially on the
-               calling domain instead of giving up on the step. *)
-            worker_failure := Some (Printexc.to_string exn);
-            Array.init n_cand (eval1 ~pool:None ~milp:milp1))
-        | None -> Array.init n_cand (eval1 ~pool:None ~milp:milp1)
-      end
-    in
+    if n_cand = 1 then
+      (* Single candidate: all the parallelism goes into the MILP
+         itself, which shares the run-wide pool. *)
+      results.(0) <- Some (eval1 ~pool ~milp 0)
+    else begin
+      (* Several candidates: one per pool task, each MILP sequential
+         inside its task — pool batches must not nest. *)
+      let milp1 = { milp with Branch_bound.jobs = 1 } in
+      (match pool with
+      | Some p -> (
+        try
+          Pool.run p ~n:n_cand (fun ~worker:_ k ->
+              results.(k) <- Some (eval1 ~pool:None ~milp:milp1 k))
+        with
+        | Abort -> raise Abort
+        | exn ->
+          (* The pool itself failed; the candidates it did not evaluate
+             are evaluated on the calling domain instead of giving up on
+             the step. *)
+          worker_failure := Some (Printexc.to_string exn))
+      | None -> ());
+      Array.iteri
+        (fun k r ->
+          if Option.is_none r then
+            results.(k) <- Some (eval1 ~pool:None ~milp:milp1 k))
+        results
+    end;
+    let results = Array.map Option.get results in
     let failures = ref [] in
     let ok = ref [] in
     Array.iteri
@@ -726,7 +794,7 @@ let run ?(config = default_config) ?resume nl =
         | Error msg ->
           Log.warn (fun f -> f "candidate %d failed: %s" i msg);
           failures := Degradation.Candidate_failed msg :: !failures)
-      evals;
+      results;
     let extra_degr =
       List.rev !failures
       @
@@ -753,7 +821,7 @@ let run ?(config = default_config) ?resume nl =
             else acc)
         None (List.rev !ok)
     in
-    (n_cand, extra_degr, best)
+    (n_cand, extra_degr, results, best)
   in
   (try
      while !remaining <> [] do
@@ -787,9 +855,11 @@ let run ?(config = default_config) ?resume nl =
                 recorded benchmarks) bit-identical. *)
              propagate = cfg.formulation <> Formulation.Basic }
          in
-         let rec attempt k =
+         let rec attempt k prev =
            let milp = escalate base_milp k in
-           let n_cand, extra_degr, best = attempt_candidates ~milp in
+           let n_cand, extra_degr, results, best =
+             attempt_candidates ~milp ~prev
+           in
            let retry_degr =
              if k > 0 then [ Degradation.Retry_escalated k ] else []
            in
@@ -811,21 +881,31 @@ let run ?(config = default_config) ?resume nl =
                    f "step stuck at its warm start; retry %d with escalated \
                       budget"
                      (k + 1));
-               attempt (k + 1)
+               attempt (k + 1) (Some results)
              end
-             else
+             else begin
+               (* The lint hook reads the committed model's bounds, so
+                  every search still suspended is abandoned, restoring
+                  its model, before the commit runs the hooks. *)
+               Array.iter
+                 (function
+                   | Ok { e_search = Some search; _ } ->
+                     Branch_bound.abandon search
+                   | Ok { e_search = None; _ } | Error _ -> ())
+                 results;
                commit ~step_start
                  ~time_budget:milp.Branch_bound.time_limit ~n_cand
                  ~retries:k ~extra_degr:(retry_degr @ extra_degr)
                  ~new_remaining:
                    (List.filteri (fun i _ -> i <> bi) !remaining)
                  e
+             end
            | None ->
              if k < cfg.max_retries then begin
                Log.warn (fun f ->
                    f "every candidate failed; retry %d with escalated budget"
                      (k + 1));
-               attempt (k + 1)
+               attempt (k + 1) (Some results)
              end
              else begin
                (* Out of retries with nothing evaluable: commit the head
@@ -843,7 +923,7 @@ let run ?(config = default_config) ?resume nl =
                  ~new_remaining:(List.tl !remaining) e
              end
          in
-         attempt 0
+         attempt 0 None
        end
      done
    with Abort ->

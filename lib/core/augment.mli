@@ -28,7 +28,15 @@
     escalated node/time budgets ([max_retries], [retry_escalation]) on
     budget-type failures; fall back to the step's warm bottom-left
     packing; commit the packing geometrically even when its MILP
-    encoding is rejected.  A run-level deadline ([run_time_limit]) is
+    encoding is rejected.  A retry continues each candidate's search
+    rather than starting it again: a search its budget suspended is
+    resumed under the escalated limits ({!Fp_milp.Branch_bound.resume}),
+    a search that ended on its own is kept, a failed candidate is
+    evaluated afresh, and a search on the pool restarts from its root.
+    Each gives what a fresh evaluation at the escalated budget gives, so
+    plans and counts do not depend on the mechanism.  Every search still
+    suspended is abandoned, restoring its model, before the step commits
+    and its hooks run.  A run-level deadline ([run_time_limit]) is
     apportioned over the remaining steps and, once expired, remaining
     groups are committed warm-only ([Deadline_truncated]).  With
     [checkpoint] set, a journal ({!Journal}) is written after every
@@ -39,7 +47,8 @@
     inspection hook fail (recorded as [Hook_failed], run continues);
     ["augment.candidate_milp"] kills one candidate evaluation (recorded
     as [Candidate_failed]; the step retries when no candidate
-    survives).  See [docs/robustness.md]. *)
+    survives); it fires when a candidate is formulated and solved
+    afresh, not when a retry resumes its search.  See [docs/robustness.md]. *)
 
 type envelope_config = {
   pitch_h : float;

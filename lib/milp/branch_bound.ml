@@ -125,8 +125,10 @@ type search = {
                                    pool) that still join propagation *)
   cutter : cutter option;       (* separation callback, None = no cuts *)
   base_nrows : int;             (* rows the model owns; cut rows live above *)
-  deadline : float;
+  mutable deadline : float;
   mutable node_budget : int;    (* this search stops at [nodes >= node_budget] *)
+  suspendable : bool;           (* suspend at the budget check instead of
+                                   stopping; see [out_of_budget] *)
   mutable capture : (task -> unit) option;
   mutable ramp_limit : int;     (* capture instead of exploring beyond this *)
   mutable nodes : int;
@@ -201,6 +203,26 @@ let budget_exhausted s =
   s.nodes >= s.node_budget
   || Unix.gettimeofday () > s.deadline
   || Fault.fire site_budget
+
+(* Performed at a suspendable search's budget check; the handler in
+   [start] suspends the search there. *)
+type _ Effect.t += Budget_spent : unit Effect.t
+
+(* The budget check before every node.  An exhausted budget stops the
+   search, unless it is suspendable: then it suspends, with
+   [out_of_budget] set so the handler reports what a stop would, and on
+   resumption under new limits ({!resume}) checks again. *)
+let rec out_of_budget s =
+  budget_exhausted s
+  && begin
+    s.out_of_budget <- true;
+    (not s.suspendable)
+    || begin
+      Effect.perform Budget_spent;
+      s.out_of_budget <- false;
+      out_of_budget s
+    end
+  end
 
 (* One LP relaxation: warm-start from the parent's optimal basis via the
    dual simplex when available (bound-only changes keep it dual
@@ -401,8 +423,7 @@ let rec explore s ~depth ~trail ~parent_basis ~slot ~parent_bound =
       { t_trail = List.rev trail; t_depth = depth; t_basis = parent_basis;
         t_bound = parent_bound; t_cuts = captured_cuts s }
   | _ ->
-    if budget_exhausted s then s.out_of_budget <- true
-    else begin
+    if not (out_of_budget s) then begin
       match propagate_node s with
       | `Pruned -> () (* pruned without becoming a node *)
       | `Open (undo, applied) ->
@@ -776,7 +797,27 @@ let solve_frontier s ~pool ~jobs ~mk_search ~tasks ~finish =
   finish ~per_domain ~waves:!waves ~tasks_lost:!tasks_lost
     ~total:(sum_work per_domain)
 
-let solve ?(params = default_params) ?warm ?pool ?cutter ?(cut_pool = [])
+(* A search handed back by [start]: suspended at its budget check, or a
+   pool search that ran out of budget and restarts on resumption.  One
+   shot: [used] is set by the first [resume] or [abandon]. *)
+type suspended = {
+  mutable used : bool;
+  go : node_limit:int -> time_limit:float -> outcome * suspended option;
+  drop : unit -> unit;
+}
+
+(* What the handler in [start] returns: the finished search's outcome,
+   or a budget suspension with the outcome a stop there gives. *)
+type step =
+  | Ended of outcome
+  | Paused of outcome * (unit, step) Effect.Deep.continuation
+
+(* Raised into a suspended search to abandon it; unwinding runs the
+   search's [Fun.protect] frames, which restore the model's bounds and
+   rows. *)
+exception Abandoned
+
+let rec start ?(params = default_params) ?warm ?pool ?cutter ?(cut_pool = [])
     model =
   let prob = Model.problem model in
   let base_nrows = Lp_problem.num_constrs prob in
@@ -800,7 +841,7 @@ let solve ?(params = default_params) ?warm ?pool ?cutter ?(cut_pool = [])
     match pool with Some p -> Pool.jobs p | None -> Int.max 1 params.jobs
   in
   let parallel = jobs > 1 in
-  let start = Unix.gettimeofday () in
+  let start_time = Unix.gettimeofday () in
   (* The cut pool never joins the LP, but its rows are globally valid,
      so node propagation may sweep them like any other row. *)
   let prop_rows =
@@ -818,8 +859,8 @@ let solve ?(params = default_params) ?warm ?pool ?cutter ?(cut_pool = [])
       model; prob; ws = Revised.workspace (); prm = params; sense_mult;
       partner; is_integer; prop_rows;
       cutter; base_nrows;
-      deadline = start +. params.time_limit;
-      node_budget = params.node_limit; capture = None;
+      deadline = start_time +. params.time_limit;
+      node_budget = params.node_limit; suspendable = false; capture = None;
       ramp_limit = max_int;
       nodes = 0; lp_solves = 0;
       warm_hits = 0; cold_solves = 0; refactorizations = 0; pivots = 0;
@@ -829,7 +870,9 @@ let solve ?(params = default_params) ?warm ?pool ?cutter ?(cut_pool = [])
       out_of_budget = false; root_unbounded = false; bound_incomplete = false;
     }
   in
-  let s = mk_search prob in
+  (* Only a sequential search suspends: a pool search's counts include
+     speculation, so it restarts from the root instead. *)
+  let s = { (mk_search prob) with suspendable = not parallel } in
   (* Install the warm start if it checks out. *)
   (match warm with
   | Some x
@@ -854,8 +897,11 @@ let solve ?(params = default_params) ?warm ?pool ?cutter ?(cut_pool = [])
     s.capture <- Some (fun t -> tasks_rev := t :: !tasks_rev; incr n_tasks);
     s.ramp_limit <- Int.min params.ramp_nodes params.node_limit
   end;
+  (* [elapsed] counts the time spent searching: earlier calls' share plus
+     the running call's, which began at [phase_start]. *)
+  let spent_before = ref 0. and phase_start = ref start_time in
   let finish ~root_bound ~per_domain ~frontier ~waves ~tasks_lost ~total =
-    let elapsed = Unix.gettimeofday () -. start in
+    let elapsed = !spent_before +. (Unix.gettimeofday () -. !phase_start) in
     let best = Option.map (fun x -> (x, s.sense_mult *. s.best_m)) s.best_x in
     let status =
       if s.root_unbounded then Unbounded
@@ -881,42 +927,102 @@ let solve ?(params = default_params) ?warm ?pool ?cutter ?(cut_pool = [])
     finish ~root_bound ~per_domain:[| w |] ~frontier:0 ~waves:0 ~tasks_lost:0
       ~total:w
   in
-  if budget_exhausted s then begin
-    (* Exhausted before the root LP: report without solving anything, so
-       nodes and lp_solves stay exact (both 0). *)
-    s.out_of_budget <- true;
-    seq_finish ~root_bound:nan
-  end
-  else begin
-    (* Root LP: solved exactly once, reused both for the reported root
-       bound and as the root node of the search. *)
-    let root_result = solve_node_lp s None ~slot:(Revised.factor_slot ()) in
-    let root_bound =
-      match root_result with
-      | Revised.Optimal { obj; _ } ->
-        (sense_mult *. obj) +. (sense_mult *. Model.objective_constant model)
-      | Revised.Unbounded | Revised.Iteration_limit -> neg_infinity
-      | Revised.Infeasible -> infinity
-    in
-    if root_bound = infinity && s.best_x = None then
-      (* Root LP infeasible and no warm start: the model has no integer
-         point.  The root is not counted as a node ([nodes] = 0, one LP
-         solve). *)
+  (* The root bound a stop would report: [nan] until the root LP has
+     been solved. *)
+  let reported_root = ref nan in
+  let search () =
+    if out_of_budget s then
+      (* Exhausted before the root LP: report without solving anything,
+         so nodes and lp_solves stay exact (both 0). *)
       seq_finish ~root_bound:nan
     else begin
-      s.nodes <- s.nodes + 1;
-      expand s ~depth:0 ~trail:[] ~parent_basis:None ~parent_bound:neg_infinity
-        root_result;
-      s.capture <- None;
-      let tasks = Array.of_list (List.rev !tasks_rev) in
-      if Array.length tasks = 0 then
-        (* Sequential run, or a ramp-up that exhausted the whole tree. *)
-        seq_finish ~root_bound:(sense_mult *. root_bound)
-      else
-        solve_frontier s ~pool ~jobs ~mk_search ~tasks
-          ~finish:(fun ~per_domain ~waves ~tasks_lost ~total ->
-            finish ~root_bound:(sense_mult *. root_bound) ~per_domain
-              ~frontier:!n_tasks ~waves ~tasks_lost ~total)
+      (* Root LP: solved exactly once, reused both for the reported root
+         bound and as the root node of the search. *)
+      let root_result = solve_node_lp s None ~slot:(Revised.factor_slot ()) in
+      let root_bound =
+        match root_result with
+        | Revised.Optimal { obj; _ } ->
+          (sense_mult *. obj) +. (sense_mult *. Model.objective_constant model)
+        | Revised.Unbounded | Revised.Iteration_limit -> neg_infinity
+        | Revised.Infeasible -> infinity
+      in
+      if root_bound = infinity && s.best_x = None then
+        (* Root LP infeasible and no warm start: the model has no integer
+           point.  The root is not counted as a node ([nodes] = 0, one LP
+           solve). *)
+        seq_finish ~root_bound:nan
+      else begin
+        reported_root := sense_mult *. root_bound;
+        s.nodes <- s.nodes + 1;
+        expand s ~depth:0 ~trail:[] ~parent_basis:None
+          ~parent_bound:neg_infinity root_result;
+        s.capture <- None;
+        let tasks = Array.of_list (List.rev !tasks_rev) in
+        if Array.length tasks = 0 then
+          (* Sequential run, or a ramp-up that exhausted the whole tree. *)
+          seq_finish ~root_bound:!reported_root
+        else
+          solve_frontier s ~pool ~jobs ~mk_search ~tasks
+            ~finish:(fun ~per_domain ~waves ~tasks_lost ~total ->
+              finish ~root_bound:!reported_root ~per_domain
+                ~frontier:!n_tasks ~waves ~tasks_lost ~total)
+      end
     end
-  end
+  in
+  let handler =
+    {
+      Effect.Deep.retc = (fun o -> Ended o);
+      exnc = raise;
+      effc =
+        (fun (type a) (e : a Effect.t) ->
+          match e with
+          | Budget_spent ->
+            Some
+              (fun (k : (a, step) Effect.Deep.continuation) ->
+                Paused (seq_finish ~root_bound:!reported_root, k))
+          | _ -> None);
+    }
+  in
+  let rec hand_back = function
+    | Ended o when parallel && s.out_of_budget ->
+      let go ~node_limit ~time_limit =
+        start ~params:{ params with node_limit; time_limit } ?warm ?pool
+          ?cutter ~cut_pool model
+      in
+      (o, Some { used = false; go; drop = ignore })
+    | Ended o -> (o, None)
+    | Paused (o, k) ->
+      let go ~node_limit ~time_limit =
+        let now = Unix.gettimeofday () in
+        spent_before := o.elapsed;
+        phase_start := now;
+        s.node_budget <- node_limit;
+        s.deadline <- now +. time_limit;
+        hand_back (Effect.Deep.continue k ())
+      and drop () =
+        match Effect.Deep.discontinue k Abandoned with
+        | (_ : step) -> ()
+        | exception Abandoned -> ()
+      in
+      (o, Some { used = false; go; drop })
+  in
+  hand_back (Effect.Deep.match_with search () handler)
 
+let use h op =
+  if h.used then
+    invalid_arg
+      ("Branch_bound." ^ op ^ ": the search was already resumed or abandoned");
+  h.used <- true
+
+let resume h ~node_limit ~time_limit =
+  use h "resume";
+  h.go ~node_limit ~time_limit
+
+let abandon h =
+  use h "abandon";
+  h.drop ()
+
+let solve ?params ?warm ?pool ?cutter ?cut_pool model =
+  let outcome, suspended = start ?params ?warm ?pool ?cutter ?cut_pool model in
+  Option.iter abandon suspended;
+  outcome

@@ -19,7 +19,8 @@
       effective from the first node;
     - node- and time-budgets: when exhausted the best incumbent is
       returned with status [Feasible], mirroring how LINDO was used on a
-      4-MIPS Apollo workstation;
+      4-MIPS Apollo workstation; {!start} also hands back the search, so
+      a retry under a bigger budget continues it ({!resume});
     - optional multi-domain search ([jobs > 1]): a short sequential
       ramp-up captures the unexplored frontier, whose subtrees are then
       explored on a {!Fp_util.Pool} of domains, each with its own copy
@@ -214,4 +215,59 @@ val solve :
     pool amortizes domain spawning across many [solve] calls — the
     successive-augmentation driver does exactly that.  The caller must
     not invoke [solve] with the same pool from two domains at once (see
-    {!Fp_util.Pool.run} on nesting). *)
+    {!Fp_util.Pool.run} on nesting).
+
+    [solve] is {!start} followed by {!abandon} of a suspended search, so
+    the model is at rest when it returns. *)
+
+(** {2 Resumable searches}
+
+    A depth-first search stopped by its node budget has already visited
+    exactly the nodes a search with a bigger budget visits first.
+    {!start} keeps such a search instead of discarding it, so a retry
+    can continue where the budget ran out rather than start again from
+    the root. *)
+
+type suspended
+(** A search that ran out of budget, held for {!resume} or {!abandon}.
+    One shot: exactly one of the two must be called on it, once.  Until
+    then the model is not at rest — a sequential search keeps its
+    branching bounds and cut rows applied — so the model must not be
+    read or solved again before the handle is used. *)
+
+val start :
+  ?params:params -> ?warm:float array -> ?pool:Fp_util.Pool.t ->
+  ?cutter:cutter -> ?cut_pool:cut list -> Model.t ->
+  outcome * suspended option
+(** [start model] runs the search {!solve} runs and returns its outcome.
+    When the node or time budget ran out, it also returns a handle on
+    the search: a sequential search ([jobs = 1]) suspends at the budget
+    check of the node it would have opened next; a search on a pool
+    ([jobs > 1]) has finished and will re-run from its root.  A search
+    that ended on its own (any status not caused by the budget) returns
+    [None]: a bigger budget cannot change it.
+
+    The handle resides in memory only and may be used from another
+    domain than the one that started the search, but never from two at
+    once. *)
+
+val resume :
+  suspended -> node_limit:int -> time_limit:float -> outcome * suspended option
+(** [resume h ~node_limit ~time_limit] continues the search under new
+    limits and returns what {!start} returns.  [node_limit] counts from
+    the root, as in {!params}; [time_limit] counts from the call.  For a
+    sequential search the outcome equals that of a fresh {!solve} with
+    the new limits — the same [status], [best], [root_bound] and counts
+    ([nodes], [lp_solves], [warm_hits], [cold_solves],
+    [refactorizations], [pivots], ...) — whenever [node_limit] is not
+    below the suspended outcome's [nodes] and no time limit or fault
+    intervened; [elapsed] adds up the time spent searching in every
+    call.  A pool search is solved afresh with the new limits.
+    @raise Invalid_argument if [h] was already resumed or abandoned. *)
+
+val abandon : suspended -> unit
+(** [abandon h] ends the search without searching further.  Unwinding
+    it restores every variable bound and removes every cut row the
+    search applied, so the model is as it was before {!start}.
+    @raise Invalid_argument if [h] was already resumed or abandoned. *)
+

@@ -21,7 +21,6 @@ type t = {
   blockages : Rect.t array;
   nodes : Point.t array;
   node_id : int array array;  (* [ix].(iy) -> node or -1 *)
-  adj : (node * int) list array;
   edge_arr : edge array;
 }
 
@@ -29,7 +28,6 @@ let num_nodes t = Array.length t.nodes
 let num_edges t = Array.length t.edge_arr
 let node_pos t n = t.nodes.(n)
 let edges t = t.edge_arr
-let neighbors t n = t.adj.(n)
 let edge_at t i = t.edge_arr.(i)
 
 (* A point strictly inside some blockage cannot host a node. *)
@@ -117,13 +115,9 @@ let build ?(pitch_h = 1.0) ?(pitch_v = 1.0) pl =
     done
   done;
   let nodes = Array.of_list (List.rev !nodes) in
-  let adj = Array.make !count [] in
-  let edge_list = ref [] and ecount = ref 0 in
+  let edge_list = ref [] in
   let add_edge a b length capacity orient =
-    edge_list := { a; b; length; capacity; orient } :: !edge_list;
-    adj.(a) <- (b, !ecount) :: adj.(a);
-    adj.(b) <- (a, !ecount) :: adj.(b);
-    incr ecount
+    edge_list := { a; b; length; capacity; orient } :: !edge_list
   in
   (* Horizontal edges. *)
   for iy = 0 to ny - 1 do
@@ -154,7 +148,7 @@ let build ?(pitch_h = 1.0) ?(pitch_v = 1.0) pl =
     done
   done;
   {
-    xs; ys; blockages = blocks; nodes; node_id; adj;
+    xs; ys; blockages = blocks; nodes; node_id;
     edge_arr = Array.of_list (List.rev !edge_list);
   }
 

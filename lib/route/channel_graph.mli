@@ -36,9 +36,6 @@ val num_nodes : t -> int
 val num_edges : t -> int
 val node_pos : t -> node -> Fp_geometry.Point.t
 val edges : t -> edge array
-val neighbors : t -> node -> (node * int) list
-(** Adjacency: [(neighbor, edge index)] pairs. *)
-
 val edge_at : t -> int -> edge
 
 val pin_node : t -> Fp_core.Placement.placed -> Fp_netlist.Net.side -> node

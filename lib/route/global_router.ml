@@ -8,7 +8,7 @@ type algorithm = Shortest_path | Weighted of { penalty : float }
 
 type routed_net = {
   net : Net.t;
-  edges : int list;
+  edges : int array;
   wirelength : float;
 }
 
@@ -34,9 +34,22 @@ let edge_cost algorithm usage (e : Channel_graph.edge) idx =
     in
     e.Channel_graph.length *. (1. +. (penalty *. over))
 
+(* Adjacency of the channel graph: [(neighbor, edge index)] pairs per
+   node.  Built per [route] call and dropped with it, so a kept routing
+   result does not carry it. *)
+let adjacency graph =
+  let adj = Array.make (Channel_graph.num_nodes graph) [] in
+  Array.iteri
+    (fun i (e : Channel_graph.edge) ->
+      let a = e.Channel_graph.a and b = e.Channel_graph.b in
+      adj.(a) <- (b, i) :: adj.(a);
+      adj.(b) <- (a, i) :: adj.(b))
+    (Channel_graph.edges graph);
+  adj
+
 (* Dijkstra from a set of sources to the nearest target.  Returns the
    edge list of the path, or None when unreachable. *)
-let shortest_path graph algorithm usage ~sources ~target =
+let shortest_path graph adj algorithm usage ~sources ~target =
   let n = Channel_graph.num_nodes graph in
   let dist = Array.make n infinity in
   let via = Array.make n (-1) in      (* edge used to arrive *)
@@ -66,7 +79,7 @@ let shortest_path graph algorithm usage ~sources ~target =
               from.(v) <- u;
               Heap.push heap nd v
             end)
-          (Channel_graph.neighbors graph u);
+          adj.(u);
         walk ()
       end
   in
@@ -81,7 +94,7 @@ let shortest_path graph algorithm usage ~sources ~target =
 
 (* Route one net as a tree: connect each pin to the partial tree via the
    cheapest path from any tree node. *)
-let route_net graph algorithm usage pl net =
+let route_net graph adj algorithm usage pl net =
   let pins =
     List.filter_map
       (fun p ->
@@ -92,7 +105,7 @@ let route_net graph algorithm usage pl net =
     |> List.sort_uniq compare
   in
   match pins with
-  | [] | [ _ ] -> Some { net; edges = []; wirelength = 0. }
+  | [] | [ _ ] -> Some { net; edges = [||]; wirelength = 0. }
   | first :: rest ->
     let tree_nodes = ref [ first ] in
     let tree_edges = ref [] in
@@ -101,7 +114,8 @@ let route_net graph algorithm usage pl net =
       (fun target ->
         if !ok && not (List.mem target !tree_nodes) then
           match
-            shortest_path graph algorithm usage ~sources:!tree_nodes ~target
+            shortest_path graph adj algorithm usage ~sources:!tree_nodes
+              ~target
           with
           | None -> ok := false
           | Some path ->
@@ -125,10 +139,11 @@ let route_net graph algorithm usage pl net =
             acc +. (Channel_graph.edge_at graph ei).Channel_graph.length)
           0. !tree_edges
       in
-      Some { net; edges = !tree_edges; wirelength }
+      Some { net; edges = Array.of_list !tree_edges; wirelength }
 
 let route ?(algorithm = Shortest_path) ?(pitch_h = 1.0) ?(pitch_v = 1.0) nl pl =
   let graph = Channel_graph.build ~pitch_h ~pitch_v pl in
+  let adj = adjacency graph in
   let usage = Array.make (Channel_graph.num_edges graph) 0. in
   (* Timing-critical nets first (YOU89), then heavier nets. *)
   let nets =
@@ -145,7 +160,7 @@ let route ?(algorithm = Shortest_path) ?(pitch_h = 1.0) ?(pitch_v = 1.0) nl pl =
   let routed = ref [] and failed = ref 0 in
   List.iter
     (fun net ->
-      match route_net graph algorithm usage pl net with
+      match route_net graph adj algorithm usage pl net with
       | Some r -> routed := r :: !routed
       | None -> incr failed)
     nets;

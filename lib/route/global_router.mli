@@ -19,7 +19,7 @@ type algorithm = Shortest_path | Weighted of { penalty : float }
 
 type routed_net = {
   net : Fp_netlist.Net.t;
-  edges : int list;       (** channel-graph edge indices used *)
+  edges : int array;      (** channel-graph edge indices used *)
   wirelength : float;
 }
 

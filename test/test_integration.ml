@@ -165,7 +165,7 @@ let test_route_tree_connectivity () =
           x
       in
       let union a b = Hashtbl.replace parent (find a) (find b) in
-      List.iter
+      Array.iter
         (fun ei ->
           let e = Fp_route.Channel_graph.edge_at graph ei in
           union e.Fp_route.Channel_graph.a e.Fp_route.Channel_graph.b)

@@ -572,6 +572,221 @@ let test_k8_counts_pinned () =
   check "tight, jobs 2" F.Tight 2
     [ (12, 12, 11, 1, 0, 82); (372, 372, 371, 1, 0, 2893) ]
 
+(* ------------------------ resumable searches ------------------------ *)
+
+module F = Fp_core.Formulation
+
+(* The whole-instance placement model of a generated K-module instance,
+   seeded with its bottom-left packing as the augmentation seeds every
+   step.  Every call builds a fresh model: a search mutates its model
+   while it runs. *)
+let placement_model ~formulation ~k ~seed =
+  let nl =
+    Fp_netlist.Generator.generate
+      { Fp_netlist.Generator.default_config with
+        Fp_netlist.Generator.num_modules = k; seed }
+  in
+  let items =
+    Array.init k (fun id ->
+        { F.def = Fp_netlist.Netlist.module_at nl id;
+          margins = (0., 0., 0., 0.) })
+  in
+  let chip_width =
+    Float.max
+      (Float.sqrt
+         (Array.fold_left
+            (fun a it ->
+              a +. F.item_min_reserved_area ~linearization:F.Secant it)
+            0. items))
+      (Array.fold_left
+         (fun a it -> Float.max a (F.item_min_width ~allow_rotation:true it))
+         0. items)
+  in
+  let sky = Fp_geometry.Skyline.create ~width:chip_width in
+  let warm =
+    Fp_core.Warm_start.place_group ~skyline:sky ~allow_rotation:true
+      ~linearization:F.Secant items
+  in
+  let warm_height = Fp_core.Warm_start.height_after ~skyline:sky warm in
+  let height_bound =
+    match formulation with
+    | F.Basic -> warm_height +. 1.
+    | F.Tight | F.Cuts -> warm_height
+  in
+  let built =
+    F.build ~chip_width ~height_bound ~formulation ~allow_rotation:true
+      ~linearization:F.Secant (Array.to_list items)
+  in
+  let warm_sol =
+    match
+      F.assign_warm built
+        (fun i -> warm.(i).Fp_core.Warm_start.envelope)
+        ~rotated:(fun i -> warm.(i).Fp_core.Warm_start.rotated)
+    with
+    | x -> Some x
+    | exception Invalid_argument _ -> None
+  in
+  (built, warm_sol)
+
+(* The augmentation's search parameters for [formulation], with only the
+   node budget binding. *)
+let placement_params ~formulation ?(jobs = 1) node_limit =
+  { Fp_core.Augment.default_config.Fp_core.Augment.milp with
+    BB.node_limit; time_limit = 1e9; jobs; ramp_nodes = 4;
+    propagate = formulation <> F.Basic }
+
+let start_placement ~formulation ~k ~seed ?jobs node_limit =
+  let built, warm = placement_model ~formulation ~k ~seed in
+  BB.start ~params:(placement_params ~formulation ?jobs node_limit) ?warm
+    ?cutter:(F.separator built) ~cut_pool:built.F.cut_candidates
+    built.F.model
+
+let same_search (a : BB.outcome) (b : BB.outcome) =
+  a.BB.status = b.BB.status && a.BB.best = b.BB.best
+  && a.BB.nodes = b.BB.nodes && a.BB.lp_solves = b.BB.lp_solves
+  && a.BB.warm_hits = b.BB.warm_hits && a.BB.cold_solves = b.BB.cold_solves
+  && a.BB.refactorizations = b.BB.refactorizations
+  && a.BB.pivots = b.BB.pivots
+  && Float.equal a.BB.root_bound b.BB.root_bound
+
+let show_search (o : BB.outcome) =
+  Printf.sprintf "nodes %d, lp %d, warm %d, cold %d, refac %d, pivots %d, \
+                  root %h, best %s"
+    o.BB.nodes o.BB.lp_solves o.BB.warm_hits o.BB.cold_solves
+    o.BB.refactorizations o.BB.pivots o.BB.root_bound
+    (match o.BB.best with None -> "none" | Some (_, v) -> Printf.sprintf "%h" v)
+
+(* (formulation, K, instance seed, increasing node limits): a first
+   budget, then one or two bigger ones to resume with. *)
+let resume_case_arb =
+  QCheck.make
+    ~print:(fun (basic, k, seed, limits) ->
+      Printf.sprintf "%s K=%d seed=%d limits=[%s]"
+        (if basic then "basic" else "tight") k seed
+        (String.concat ";" (List.map string_of_int limits)))
+    QCheck.Gen.(
+      map
+        (fun (basic, k, seed, (l, d1, d2)) ->
+          let limits =
+            match d2 with
+            | None -> [ l; l + d1 ]
+            | Some d2 -> [ l; l + d1; l + d1 + d2 ]
+          in
+          (basic, k, seed, limits))
+        (quad bool (int_range 6 8) (int_range 1 500)
+           (triple (int_range 0 40) (int_range 1 80) (opt (int_range 1 80)))))
+
+(* A search resumed under each later limit must be, at every limit, the
+   search a fresh [solve] at that limit runs: same status, incumbent,
+   root bound and counts. *)
+let test_resume_equals_fresh =
+  QCheck.Test.make ~name:"resumed search = fresh solve at the new limit"
+    ~count:30 resume_case_arb (fun (basic, k, seed, limits) ->
+      let formulation = if basic then F.Basic else F.Tight in
+      let fresh node_limit =
+        let built, warm = placement_model ~formulation ~k ~seed in
+        BB.solve ~params:(placement_params ~formulation node_limit) ?warm
+          ?cutter:(F.separator built) ~cut_pool:built.F.cut_candidates
+          built.F.model
+      in
+      let check limit o =
+        let f = fresh limit in
+        same_search o f
+        || QCheck.Test.fail_reportf "limit %d: resumed %s, fresh %s" limit
+             (show_search o) (show_search f)
+      in
+      match limits with
+      | [] -> true
+      | first :: later ->
+        let o, h = start_placement ~formulation ~k ~seed first in
+        let ok = check first o in
+        let rec go ok o h = function
+          | [] ->
+            Option.iter BB.abandon h;
+            ok
+          | limit :: rest ->
+            let o, h =
+              match h with
+              | Some h -> BB.resume h ~node_limit:limit ~time_limit:1e9
+              | None -> (o, None) (* ended on its own: limits cannot matter *)
+            in
+            go (ok && check limit o) o h rest
+        in
+        go ok o h later)
+
+let model_state (built : F.built) =
+  let prob = Model.problem built.F.model in
+  ( List.init (Lp.num_vars prob) (fun v ->
+        (Lp.var_lb prob v, Lp.var_ub prob v)),
+    Lp.num_constrs prob )
+
+(* A suspended search holds its branching bounds (and, with cuts, its
+   cut rows); abandoning it puts the model back as it was. *)
+let test_abandon_restores_model () =
+  List.iter
+    (fun formulation ->
+      let built, warm = placement_model ~formulation ~k:8 ~seed:3 in
+      let bounds0, rows0 = model_state built in
+      let _, h =
+        BB.start ~params:(placement_params ~formulation 40) ?warm
+          ?cutter:(F.separator built) ~cut_pool:built.F.cut_candidates
+          built.F.model
+      in
+      let h =
+        match h with
+        | Some h -> h
+        | None -> Alcotest.fail "a 40-node search of K=8 should suspend"
+      in
+      let bounds1, _ = model_state built in
+      Alcotest.(check bool) "suspended search holds branching bounds" false
+        (bounds1 = bounds0);
+      BB.abandon h;
+      let bounds2, rows2 = model_state built in
+      Alcotest.(check bool) "bounds restored" true (bounds2 = bounds0);
+      Alcotest.(check int) "rows restored" rows0 rows2)
+    [ F.Basic; F.Tight; F.Cuts ]
+
+let raises_invalid name f =
+  match f () with
+  | () -> Alcotest.failf "%s: no exception" name
+  | exception Invalid_argument _ -> ()
+
+(* A handle is one shot: resuming or abandoning it a second time is a
+   caller bug and raises. *)
+let test_handle_one_shot () =
+  let formulation = F.Basic in
+  let suspended node_limit =
+    match snd (start_placement ~formulation ~k:8 ~seed:3 node_limit) with
+    | Some h -> h
+    | None -> Alcotest.fail "expected a suspended search"
+  in
+  let resume h = ignore (BB.resume h ~node_limit:30 ~time_limit:1e9) in
+  let h = suspended 20 in
+  let _, h' = BB.resume h ~node_limit:25 ~time_limit:1e9 in
+  raises_invalid "resume twice" (fun () -> resume h);
+  raises_invalid "abandon after resume" (fun () -> BB.abandon h);
+  Option.iter BB.abandon h';
+  let h = suspended 20 in
+  BB.abandon h;
+  raises_invalid "abandon twice" (fun () -> BB.abandon h);
+  raises_invalid "resume after abandon" (fun () -> resume h)
+
+(* A pool search that ran out of budget restarts from its root on
+   resumption: the result is a fresh pool search at the new limit. *)
+let test_pool_search_restarts () =
+  let formulation = F.Basic in
+  let o, h = start_placement ~formulation ~k:8 ~seed:3 ~jobs:2 30 in
+  Alcotest.(check bool) "budget stop" true (o.BB.status <> BB.Optimal);
+  match h with
+  | None -> Alcotest.fail "a pool search out of budget returns a handle"
+  | Some h ->
+    let o, h = BB.resume h ~node_limit:120 ~time_limit:1e9 in
+    Option.iter BB.abandon h;
+    let f, fh = start_placement ~formulation ~k:8 ~seed:3 ~jobs:2 120 in
+    Option.iter BB.abandon fh;
+    Alcotest.(check string) "same as a fresh pool search" (show_search f)
+      (show_search o)
+
 let () =
   Alcotest.run "fp_milp"
     [
@@ -632,5 +847,15 @@ let () =
         [
           Alcotest.test_case "K=8 search counts pinned" `Quick
             test_k8_counts_pinned;
+        ] );
+      ( "resume",
+        [
+          QCheck_alcotest.to_alcotest test_resume_equals_fresh;
+          Alcotest.test_case "abandon restores the model" `Quick
+            test_abandon_restores_model;
+          Alcotest.test_case "handles are one shot" `Quick
+            test_handle_one_shot;
+          Alcotest.test_case "pool searches restart" `Quick
+            test_pool_search_restarts;
         ] );
     ]

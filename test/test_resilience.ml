@@ -152,6 +152,48 @@ let test_retry_escalation () =
   Alcotest.(check bool) "same floorplan after retry" true
     (res.Augment.placement = clean.Augment.placement)
 
+(* Placement rendered bit for bit: module, rotation, silicon and
+   envelope rectangles. *)
+let placement_digest (pl : Placement.t) =
+  let b = Buffer.create 1024 in
+  let rect (r : Rect.t) =
+    Printf.bprintf b "%h,%h,%h,%h;" r.Rect.x r.Rect.y r.Rect.w r.Rect.h
+  in
+  Printf.bprintf b "W%h H%h|" pl.Placement.chip_width pl.Placement.height;
+  List.iter
+    (fun (m : Placement.placed) ->
+      Printf.bprintf b "%d:%b:" m.Placement.module_id m.Placement.rotated;
+      rect m.Placement.rect;
+      rect m.Placement.envelope)
+    pl.Placement.placed;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* A 100-node budget on a generated K=12 instance: steps 1 and 2 retry
+   once, step 3 runs out of retries and keeps its warm packing.  The
+   counts and the placement were recorded when every retry re-ran its
+   search from the root; a retry that continues the suspended search
+   must reproduce them exactly. *)
+let test_retry_golden () =
+  let nl = gen ~n:12 ~seed:7 in
+  let config =
+    { Augment.default_config with
+      Augment.milp =
+        { Augment.default_config.Augment.milp with
+          BB.node_limit = 100; time_limit = 1e9 } }
+  in
+  let res = Augment.run ~config nl in
+  let show (s : Augment.step_stat) =
+    Printf.sprintf "nodes %d, pivots %d, retries %d" s.Augment.nodes
+      s.Augment.pivots s.Augment.retries
+  in
+  Alcotest.(check (list string)) "per-step counts"
+    [ "nodes 195, pivots 825, retries 1";
+      "nodes 400, pivots 1513, retries 1";
+      "nodes 1600, pivots 5431, retries 2" ]
+    (List.map show res.Augment.steps);
+  Alcotest.(check string) "placement" "0b31bd4dd64a0e41d8bb1d4ed690f129"
+    (placement_digest res.Augment.placement)
+
 (* An expired run deadline: every remaining group is committed from its
    warm packing, visibly. *)
 let test_deadline_truncation () =
@@ -410,6 +452,7 @@ let () =
             test_budget_warm_fallback;
           Alcotest.test_case "raw warm packing" `Quick test_raw_warm_packing;
           Alcotest.test_case "retry escalation" `Quick test_retry_escalation;
+          Alcotest.test_case "retry golden" `Quick test_retry_golden;
           Alcotest.test_case "deadline truncation" `Quick
             test_deadline_truncation;
           Alcotest.test_case "deadline honoured" `Slow test_deadline_honoured;

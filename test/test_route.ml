@@ -127,7 +127,7 @@ let test_route_usage_accounting () =
   let rt = GR.route nl pl in
   let used = Array.fold_left (fun a u -> a +. u) 0. rt.GR.usage in
   let edges_in_routes =
-    List.fold_left (fun a r -> a + List.length r.GR.edges) 0 rt.GR.routed
+    List.fold_left (fun a r -> a + Array.length r.GR.edges) 0 rt.GR.routed
   in
   checkf "usage = edges used" (float_of_int edges_in_routes) used
 
